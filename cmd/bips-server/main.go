@@ -32,10 +32,10 @@
 // -shards splits the location database into independently locked shards
 // (default 16); -inflight bounds concurrently executing requests per
 // connection; -loadgen-users N registers the synthetic users user0..N-1
-// with password "loadgen" that bips-loadgen's locate/mixed/mix modes
-// expect. Clients may also subscribe to push notifications (PROTOCOL.md
-// §9): -event-buffer, -drop-limit and -max-subs bound what one
-// subscriber connection may cost the server. -fanout-ring sizes the
+// with password "loadgen" that the benchmark harness (bench/) logs in
+// and moves around. Clients may also subscribe to push notifications
+// (PROTOCOL.md §9): -event-buffer, -drop-limit and -max-subs bound what
+// one subscriber connection may cost the server. -fanout-ring sizes the
 // staged delivery ring between ingest and subscriber callbacks, and
 // -pprof serves net/http/pprof on a side address so fan-out contention
 // is profileable under load. -flush-bytes bounds how much a connection
@@ -100,7 +100,7 @@ func run(args []string) error {
 	planPath := fs.String("plan", "", "floor-plan JSON file (default: built-in academic department)")
 	shards := fs.Int("shards", locdb.DefaultShards, "location-database shard count")
 	inflight := fs.Int("inflight", server.DefaultMaxInFlight, "max concurrently executing requests per connection")
-	loadgenUsers := fs.Int("loadgen-users", 0, `register N synthetic users user0..userN-1 (password "loadgen") for bips-loadgen`)
+	loadgenUsers := fs.Int("loadgen-users", 0, `register N synthetic users user0..userN-1 (password "loadgen") for the benchmark harness (bench/)`)
 	dataDir := fs.String("data-dir", "", "durable storage directory (empty: in-memory only, state is lost on restart)")
 	snapInterval := fs.Duration("snapshot-interval", storage.DefaultSnapshotInterval, "checkpoint period for -data-dir")
 	historyLimit := fs.Int("history-limit", locdb.DefaultHistoryLimit, "per-device movement-history bound (0 disables at/trajectory queries)")

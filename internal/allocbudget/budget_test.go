@@ -54,8 +54,6 @@ var budgets = map[string]float64{
 	// a shared cached slice. Anything above zero means the cache
 	// stopped being a cache.
 	"locdb_all_unchanged": 0,
-	// Incremental poll with a current base: same contract as above.
-	"locdb_all_since_current": 0,
 }
 
 const pw = "pw"
@@ -313,13 +311,6 @@ func TestSnapshotBudgets(t *testing.T) {
 	check(t, "locdb_all_unchanged", 500, func() {
 		if len(db.All()) != 512 {
 			t.Fatal("snapshot shrank")
-		}
-	})
-	base := db.SnapshotToken()
-	check(t, "locdb_all_since_current", 500, func() {
-		d := db.AllSince(base)
-		if d.Token != base || d.Full {
-			t.Fatalf("delta = %+v", d)
 		}
 	})
 }

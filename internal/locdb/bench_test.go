@@ -92,23 +92,3 @@ func BenchmarkLocdbSnapshotAllChurn(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkLocdbAllSince measures the incremental snapshot poll: one
-// device moves between polls, so each delta re-merges once and then
-// diffs two sorted slices to a single changed fix.
-func BenchmarkLocdbAllSince(b *testing.B) {
-	db := New()
-	for i := 0; i < 1024; i++ {
-		db.SetPresence(baseband.BDAddr(0xB000_0000_0001+uint64(i)), graph.NodeID(i%32), 0)
-	}
-	base := db.SnapshotToken()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		db.SetPresence(baseband.BDAddr(0xB000_0000_0001+uint64(i%1024)), graph.NodeID((i+i/1024)%32), sim.Tick(i+1))
-		d := db.AllSince(base)
-		if d.Full {
-			b.Fatalf("base %d evicted from ring after a single rebuild", base)
-		}
-		base = d.Token
-	}
-}

@@ -179,14 +179,10 @@ type DB struct {
 	subsList atomic.Pointer[[]Sink]
 
 	// Merged-snapshot cache: allCur is the last full merge (with the
-	// per-shard versions it was built from), allRing keeps the most
-	// recent builds so AllSince can serve deltas against a base a client
-	// still holds. See snapshot.go.
-	allMu     sync.Mutex
-	allCur    atomic.Pointer[allSnap]
-	allRing   [snapRingSize]*allSnap
-	allRingAt int
-	allToken  uint64
+	// per-shard versions it was built from); allMu serializes rebuilds.
+	// See snapshot.go.
+	allMu  sync.Mutex
+	allCur atomic.Pointer[allSnap]
 
 	// batchPool recycles ApplyBatch's grouping scratch (see batch.go).
 	batchPool sync.Pool

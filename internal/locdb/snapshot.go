@@ -1,12 +1,8 @@
 package locdb
 
-import (
-	"sort"
+import "sort"
 
-	"bips/internal/baseband"
-)
-
-// Incremental merged snapshots.
+// Cached merged snapshot.
 //
 // All() used to re-merge every shard on every call: with a few thousand
 // devices that is tens of kilobytes of garbage per status poll, and the
@@ -20,46 +16,13 @@ import (
 //   - On mismatch, one caller (serialized by allMu) re-merges the
 //     per-shard snapshots and publishes the result. Concurrent callers
 //     that lose the race reuse the fresh build.
-//   - The last snapRingSize builds are retained in a ring so AllSince
-//     can answer "what changed since the snapshot you already hold"
-//     with a small delta instead of a full retransmit.
 //
 // Snapshots are immutable once published and shared between callers:
-// neither the fixes slice of All nor the Fixes of a Full delta may be
-// modified by the recipient.
-
-// snapRingSize is how many recent merged snapshots are retained for
-// delta serving. A client that polls at all regularly is at most one or
-// two builds behind; older bases fall back to a full snapshot.
-const snapRingSize = 4
-
-// SnapToken identifies a published merged snapshot. Tokens are issued
-// from a monotonic counter and are never zero: zero is the "no base"
-// token, which always yields a full snapshot. The counter skips zero on
-// wrap, so a token never aliases "no base" even after 2^64 builds.
-type SnapToken uint64
-
-// AllDelta is the answer to AllSince: the state changes between a base
-// snapshot and the current one.
-//
-// If Full is set the base was unknown (zero, evicted from the ring, or
-// from another process) and Fixes holds the complete current state with
-// Removed empty. Otherwise Fixes holds devices whose fix appeared or
-// changed since the base and Removed the devices dropped since the
-// base; applying "upsert Fixes, delete Removed" to the base state
-// yields the current state exactly. A delta with Token equal to the
-// base means nothing changed.
-type AllDelta struct {
-	Token   SnapToken
-	Full    bool
-	Fixes   []Fix
-	Removed []baseband.BDAddr
-}
+// the fixes slice of All must not be modified by the recipient.
 
 // allSnap is one published merged snapshot: the device-sorted fixes and
 // the per-shard version vector they were built from.
 type allSnap struct {
-	token SnapToken
 	vers  []uint64
 	fixes []Fix
 }
@@ -102,88 +65,7 @@ func (db *DB) rebuildAll() *allSnap {
 		fixes = append(fixes, ss.fixes...)
 	}
 	sort.Slice(fixes, func(i, j int) bool { return fixes[i].Device < fixes[j].Device })
-	db.allToken++
-	if db.allToken == 0 { // skip the "no base" token on wrap
-		db.allToken = 1
-		// Tokens restart, so drop every retained base: a stale ring
-		// entry could otherwise alias a reissued token and serve a
-		// delta against the wrong snapshot. Pre-wrap pollers get one
-		// Full refresh instead.
-		for i := range db.allRing {
-			db.allRing[i] = nil
-		}
-	}
-	s := &allSnap{token: SnapToken(db.allToken), vers: vers, fixes: fixes}
+	s := &allSnap{vers: vers, fixes: fixes}
 	db.allCur.Store(s)
-	db.allRing[db.allRingAt] = s
-	db.allRingAt = (db.allRingAt + 1) % snapRingSize
 	return s
-}
-
-// SnapshotToken returns the token of the current merged snapshot,
-// building one if necessary. All()'s slice and SnapshotToken's token
-// taken back-to-back may disagree under concurrent writes; AllSince
-// with a zero base returns both atomically.
-func (db *DB) SnapshotToken() SnapToken {
-	return db.allSnapshot().token
-}
-
-// AllSince returns the changes between the snapshot identified by base
-// and the current state. A zero or unknown base yields a Full delta.
-// When nothing changed (base is still current) the returned delta
-// carries the same token and no fixes — and the call performs no
-// allocation, so idle pollers are free. The slices in the returned
-// delta are shared and immutable.
-func (db *DB) AllSince(base SnapToken) AllDelta {
-	db.snapshotQueries.Add(1)
-	cur := db.allSnapshot()
-	if cur.token == base {
-		return AllDelta{Token: base}
-	}
-	var old *allSnap
-	if base != 0 {
-		db.allMu.Lock()
-		for _, s := range db.allRing {
-			if s != nil && s.token == base {
-				old = s
-				break
-			}
-		}
-		db.allMu.Unlock()
-	}
-	if old == nil {
-		return AllDelta{Token: cur.token, Full: true, Fixes: cur.fixes}
-	}
-	changed, removed := diffFixes(old.fixes, cur.fixes)
-	return AllDelta{Token: cur.token, Fixes: changed, Removed: removed}
-}
-
-// diffFixes computes the delta from old to cur, both sorted ascending
-// by device: fixes that appeared or changed, and devices that vanished.
-// One linear merge pass, no maps.
-func diffFixes(old, cur []Fix) (changed []Fix, removed []baseband.BDAddr) {
-	i, j := 0, 0
-	for i < len(old) && j < len(cur) {
-		switch {
-		case old[i].Device == cur[j].Device:
-			if old[i] != cur[j] {
-				changed = append(changed, cur[j])
-			}
-			i++
-			j++
-		case old[i].Device < cur[j].Device:
-			removed = append(removed, old[i].Device)
-			i++
-		default:
-			changed = append(changed, cur[j])
-			j++
-		}
-	}
-	for ; i < len(old); i++ {
-		removed = append(removed, old[i].Device)
-	}
-	for ; j < len(cur); j++ {
-		changed = append(changed, cur[j])
-	}
-	return changed, removed
 }

@@ -47,13 +47,6 @@ type Store interface {
 	// returned slice is a shared immutable snapshot: callers must not
 	// modify it.
 	All() []Fix
-	// AllSince returns the changes since the snapshot identified by
-	// base (zero or unknown base: a Full snapshot). Slices in the
-	// returned delta are shared and immutable.
-	AllSince(base SnapToken) AllDelta
-	// SnapshotToken returns the token identifying the current full
-	// snapshot, for use as a later AllSince base.
-	SnapshotToken() SnapToken
 	// Present returns the number of devices with a known position.
 	Present() int
 	// Dump returns every device's full state (current fix plus recorded

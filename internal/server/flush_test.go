@@ -125,8 +125,8 @@ func TestWriterCoalescesPipelinedResponses(t *testing.T) {
 
 // TestFlushCountersPrinted asserts the satellite contract: everything
 // MsgStats carries — including the new wire.* flush counters — reaches
-// the terminal through wire.PrintStats (what bips-query -stats and
-// bips-loadgen -stats render) once it is nonzero.
+// the terminal through wire.PrintStats (what bips-query -stats
+// renders) once it is nonzero.
 func TestFlushCountersPrinted(t *testing.T) {
 	s := newFlushServer(t)
 	cliConn, srvConn := net.Pipe()

@@ -74,9 +74,8 @@ func benchDelta(i, devs int) wire.Presence {
 // MsgPresence envelope per delta, stop-and-wait, as bips-station shipped
 // before the ingest subsystem), "batched" is the ingest session
 // protocol (MsgPresenceBatch frames of DefaultMaxBatch*4 deltas,
-// stop-and-wait per frame). .github/bench.sh derives the batched/single
-// deltas-per-second ratio into BENCH_PR5.json — the PR 5 acceptance
-// metric (bar: >= 5x).
+// stop-and-wait per frame). The batched/single deltas-per-second ratio
+// is what the ingest protocol was accepted on (bar: >= 5x).
 func BenchmarkIngestDelta(b *testing.B) {
 	const devs = 64
 	const frame = 256

@@ -472,7 +472,7 @@ func (s *Server) StatsResult() wire.StatsResult {
 	}
 	// Derived syscall-amortization ratio: how many frames left per
 	// flush on average. 1 means flush-per-frame (no coalescing win);
-	// the mixed-workload bar is >= 4 (BENCH_PR10.json).
+	// the harness reports it per workload as wire.frames_per_flush.
 	if flushes := out.Counters["wire.flushes"]; flushes > 0 {
 		out.Counters["wire.frames_per_flush"] = out.Counters["wire.frames"] / flushes
 	}

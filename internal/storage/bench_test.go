@@ -21,9 +21,8 @@ import (
 // write syscall per commit, GC of the record buffers) to the same core
 // that issues the deltas. That is the worst case for the durable
 // backend — any deployment with a second core runs the flusher beside
-// the hot path and pays only the in-lock buffer append (~10 ns). The
-// acceptance numbers are recorded by .github/bench.sh into
-// BENCH_PR4.json and discussed in docs/OPERATIONS.md.
+// the hot path and pays only the in-lock buffer append (~10 ns).
+// docs/OPERATIONS.md §4.2 has the recipe.
 func BenchmarkLocdbDelta(b *testing.B) {
 	const devices = 1024
 	const rooms = 32

@@ -435,12 +435,6 @@ func (d *Durable) Occupants(piconet graph.NodeID) []baseband.BDAddr {
 // snapshot.
 func (d *Durable) All() []locdb.Fix { return d.mem.All() }
 
-// AllSince returns the changes since the snapshot identified by base.
-func (d *Durable) AllSince(base locdb.SnapToken) locdb.AllDelta { return d.mem.AllSince(base) }
-
-// SnapshotToken returns the token identifying the current full snapshot.
-func (d *Durable) SnapshotToken() locdb.SnapToken { return d.mem.SnapshotToken() }
-
 // Present returns the number of devices with a known position.
 func (d *Durable) Present() int { return d.mem.Present() }
 

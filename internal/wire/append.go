@@ -1,7 +1,7 @@
 // Zero-allocation encode/decode path for the hot message types.
 //
 // The encoding/json round trip dominates the serving-tier allocation
-// profile (BENCH_PR4.json: 46 allocs per pipelined locate), so the hot
+// profile (46 allocs per pipelined locate before this path), so the hot
 // types carry hand-rolled append-style encoders (AppendTo) and strict
 // decoders (DecodeBody) that are verified byte-identical to
 // encoding/json by differential and fuzz tests (append_test.go). The

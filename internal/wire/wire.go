@@ -316,8 +316,7 @@ type StatsResult struct {
 
 // PrintStats renders a StatsResult for terminal consumption: counters in
 // sorted order (zero counters elided), then histograms with their
-// percentiles in milliseconds. Shared by bips-query -stats and
-// bips-loadgen -stats.
+// percentiles in milliseconds; bips-query -stats prints it.
 func PrintStats(w io.Writer, res StatsResult) {
 	names := make([]string, 0, len(res.Counters))
 	for name := range res.Counters {
