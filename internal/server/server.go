@@ -11,16 +11,21 @@
 //
 // # Connection pipeline
 //
-// Every connection is served by a reader/writer goroutine pair. The reader
-// decodes requests and hands each to a handler goroutine, with at most
-// MaxInFlight requests executing per connection; the writer serializes
-// responses back onto the socket in completion order. Responses therefore
-// may arrive out of request order — the envelope Seq is the correlation id
-// that ties them back together — which is what lets one slow navigation
-// query overlap hundreds of cheap presence deltas on the same persistent
-// connection. Business state is safe under this concurrency: the registry
-// and the sharded location database carry their own locks and the building
-// is immutable after construction.
+// A connection is a wire.FrameCodec in whichever framing the peer's
+// first byte selected, served by a reader/writer goroutine pair. The
+// reader receives requests into pooled buffers and either handles the
+// cheap reads itself (inlineRead) or hands the request to a handler
+// goroutine, with at most MaxInFlight requests executing per connection;
+// both routes run handle, which calls the one dispatch switch to append
+// the response into a pooled frame. The writer stages queued frames back
+// onto the socket in completion order and flushes when its queue goes
+// idle. Responses therefore may arrive out of request order — the
+// envelope Seq is the correlation id that ties them back together —
+// which is what lets one slow navigation query overlap hundreds of cheap
+// presence deltas on the same persistent connection. Business state is
+// safe under this concurrency: the registry and the sharded location
+// database carry their own locks and the building is immutable after
+// construction.
 package server
 
 import (
@@ -512,99 +517,57 @@ func errorCode(err error) string {
 	}
 }
 
-// errorEnvelope builds a best-effort MsgError response.
-func errorEnvelope(seq uint64, err error) wire.Envelope {
-	resp, merr := wire.MarshalBody(wire.MsgError, seq, wire.Error{
-		Code:    errorCode(err),
-		Message: err.Error(),
-	})
-	if merr != nil {
-		// Marshalling a flat struct cannot fail; fall back to an empty
-		// error envelope.
-		return wire.Envelope{Type: wire.MsgError, Seq: seq}
-	}
-	return resp
+// appendError appends a MsgError response envelope for err.
+func appendError(buf []byte, seq uint64, err error) []byte {
+	werr := wire.Error{Code: errorCode(err), Message: err.Error()}
+	return wire.AppendEnvelope(buf, wire.MsgError, seq, &werr)
 }
 
-// outMsg is one response (or push event) queued for the writer: either a
-// plain envelope or an already-encoded payload in a pooled buffer. When
-// buf is set, the queue owns it until the writer (or the teardown drain)
-// releases it after the send.
-type outMsg struct {
-	env wire.Envelope
-	buf *wire.Buf
+// errorFrame encodes a MsgError into a pooled frame for the writer
+// queues: the answer to bytes that never became a request (pre-sniff,
+// malformed) or to a connection condemned as a slow consumer.
+func errorFrame(seq uint64, err error) *wire.Buf {
+	buf := wire.GetBuf()
+	buf.B = appendError(buf.B, seq, err)
+	return buf
 }
 
-// flushWriter batches frame writes on one transport: pooled payloads
-// are staged with SendPayloadNoFlush and leave in one write(2) when the
-// owning goroutine observes its queue idle (flush-on-idle) or the
-// staged bytes pass the server's flush threshold. On a transport
-// without BatchSender (foreign Transport implementations) every write
-// degrades to the flush-per-send path. After a send error it keeps
-// accepting — and releasing — messages without touching the dead
-// stream, so producers never block on a gone connection.
+// flushWriter batches frame writes on one connection: each queued
+// frame — an encoded response or push event in a pooled buffer the queue
+// owned — is staged with SendPayloadNoFlush and released, and the batch
+// leaves in one write(2) when the owning goroutine observes its queue
+// idle (flush-on-idle) or the staged bytes pass the server's flush
+// threshold. After a send error it keeps accepting — and releasing —
+// frames without touching the dead stream, so producers never block on
+// a gone connection.
 //
 // A flushWriter belongs to one goroutine. The response writer and the
-// subscription pusher each own one over the same transport; the codec's
-// write mutex keeps concurrently staged frames atomic, and either
-// side's Flush simply pushes out whatever both have staged (the
+// subscription pusher each own one over the same connection; the
+// codec's write mutex keeps concurrently staged frames atomic, and
+// either side's Flush simply pushes out whatever both have staged (the
 // counters still attribute every frame to exactly one flush).
 type flushWriter struct {
 	srv        *Server
-	tr         wire.Transport
-	ps         wire.PayloadSender
-	bs         wire.BatchSender
-	limit      int // flush threshold in staged bytes
-	overhead   int // framing bytes added per staged payload
+	tr         *wire.FrameCodec
 	sendFailed bool
 	frames     int // frames staged since the last flush
 	bytes      int // wire bytes staged since the last flush
 }
 
-func newFlushWriter(s *Server, tr wire.Transport) *flushWriter {
-	fw := &flushWriter{srv: s, tr: tr, limit: s.flushBytes, overhead: 1}
-	fw.ps, _ = tr.(wire.PayloadSender)
-	fw.bs, _ = tr.(wire.BatchSender)
-	if _, ok := tr.(*wire.FrameCodec); ok {
-		fw.overhead = wire.FrameHeaderLen
-	}
-	return fw
-}
-
-// write sends one queued message, releasing its pooled buffer in every
-// outcome. Encoded payloads are staged without flushing; envelope
-// messages (foreign transports, pre-sniff errors) flush what is staged
-// first so the stream order is preserved, then send-and-flush.
-func (fw *flushWriter) write(m outMsg) {
-	if m.buf != nil && fw.bs != nil {
-		if !fw.sendFailed {
-			if err := fw.bs.SendPayloadNoFlush(m.buf.B); err != nil {
-				fw.sendFailed = true
-			} else {
-				fw.frames++
-				fw.bytes += len(m.buf.B) + fw.overhead
-			}
-		}
-		m.buf.Release()
-		if fw.bytes >= fw.limit {
-			fw.flush()
-		}
-		return
-	}
-	fw.flush()
+// write stages one queued frame, releasing its pooled buffer in every
+// outcome.
+func (fw *flushWriter) write(buf *wire.Buf) {
 	if !fw.sendFailed {
-		var err error
-		if m.buf != nil {
-			err = fw.ps.SendPayload(m.buf.B)
-		} else {
-			err = fw.tr.Send(m.env)
-		}
-		if err != nil {
+		if err := fw.tr.SendPayloadNoFlush(buf.B); err != nil {
 			fw.sendFailed = true
+		} else {
+			fw.frames++
+			fw.bytes += len(buf.B) + fw.tr.FrameOverhead()
 		}
 	}
-	if m.buf != nil {
-		m.buf.Release()
+	buf.Release()
+	if fw.bytes >= fw.srv.flushBytes {
+		fw.flush()
 	}
 }
 
@@ -619,7 +582,7 @@ func (fw *flushWriter) flush() {
 	if fw.sendFailed {
 		return
 	}
-	if err := fw.bs.Flush(); err != nil {
+	if err := fw.tr.Flush(); err != nil {
 		fw.sendFailed = true
 		return
 	}
@@ -657,18 +620,11 @@ func inlineRead(t wire.MsgType) bool {
 // transport error just ends the connection.
 func (s *Server) ServeConn(conn io.ReadWriter) {
 	s.connTotal.Inc()
-	tr, terr := wire.ServerTransportBuffered(conn, s.flushBytes)
+	tr, terr := wire.ServerTransport(conn, s.flushBytes)
 	if tr == nil {
 		// Peek failed before a single byte arrived: nothing to answer.
 		return
 	}
-
-	// Both codecs ServerTransport builds implement the pooled fast
-	// paths; the assertions keep a foreign Transport working through the
-	// allocating envelope path.
-	br, brOK := tr.(wire.BufRecver)
-	_, psOK := tr.(wire.PayloadSender)
-	fast := brOK && psOK
 
 	// Writer goroutine: the single owner of response sends. It drains
 	// the queue opportunistically — every queued response is staged
@@ -678,11 +634,11 @@ func (s *Server) ServeConn(conn io.ReadWriter) {
 	// instead of one per response. It keeps draining (and releasing
 	// pooled buffers) after a send failure so handler goroutines can
 	// never block on a dead connection.
-	out := make(chan outMsg, s.maxInFlight+1)
+	out := make(chan *wire.Buf, s.maxInFlight+1)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		fw := newFlushWriter(s, tr)
+		fw := &flushWriter{srv: s, tr: tr}
 		for {
 			m, ok := <-out
 			for ok {
@@ -713,7 +669,7 @@ func (s *Server) ServeConn(conn io.ReadWriter) {
 	if terr != nil {
 		// The very first byte already ruled out both protocol versions.
 		s.malformed.Inc()
-		out <- outMsg{env: errorEnvelope(0, terr)}
+		out <- errorFrame(0, terr)
 		finish()
 		return
 	}
@@ -727,73 +683,43 @@ func (s *Server) ServeConn(conn io.ReadWriter) {
 	var handlers sync.WaitGroup
 	sem := make(chan struct{}, s.maxInFlight)
 	// The reader owns one receive buffer for the whole connection: an
-	// inline request's body is dead once dispatchAppend returns, so the
-	// buffer is simply reused. Only a request handed to a handler
-	// goroutine takes the buffer with it (the handler releases it) and
-	// the reader replaces its own from the pool.
-	var readBuf *wire.Buf
-	if fast {
-		readBuf = wire.GetBuf()
-	}
+	// inline request's body is dead once handle returns, so the buffer
+	// is simply reused. Only a request handed to a handler goroutine
+	// takes the buffer with it (the handler releases it) and the reader
+	// replaces its own from the pool.
+	readBuf := wire.GetBuf()
 	for {
 		var env wire.Envelope
 		var err error
-		if fast {
-			env, readBuf.B, err = br.RecvBuf(readBuf.B)
-		} else {
-			env, err = tr.Recv()
-		}
+		env, readBuf.B, err = tr.RecvBuf(readBuf.B)
 		if err != nil {
 			if errors.Is(err, wire.ErrMalformed) {
 				// Answer with a reason before closing instead of
 				// silently dropping the connection.
 				s.malformed.Inc()
-				out <- outMsg{env: errorEnvelope(0, err)}
+				out <- errorFrame(0, err)
 			}
 			break
 		}
-		if fast && inlineRead(env.Type) {
-			if s.beforeHandle != nil {
-				s.beforeHandle(env.Type)
-			}
-			start := time.Now()
-			resp := wire.GetBuf()
-			resp.B = s.dispatchAppend(cs, env, resp.B)
-			s.latency.ObserveDuration(time.Since(start))
-			out <- outMsg{buf: resp}
+		if inlineRead(env.Type) {
+			out <- s.handle(cs, env)
 			continue
 		}
-		var reqBuf *wire.Buf
-		if fast {
-			reqBuf, readBuf = readBuf, wire.GetBuf()
-		}
+		reqBuf := readBuf
+		readBuf = wire.GetBuf()
 		sem <- struct{}{}
 		handlers.Add(1)
-		go func(env wire.Envelope, reqBuf *wire.Buf) {
+		go func(env wire.Envelope) {
 			defer handlers.Done()
 			defer func() { <-sem }()
-			if s.beforeHandle != nil {
-				s.beforeHandle(env.Type)
-			}
-			start := time.Now()
-			if fast {
-				resp := wire.GetBuf()
-				resp.B = s.dispatchAppend(cs, env, resp.B)
-				s.latency.ObserveDuration(time.Since(start))
-				// dispatchAppend decoded everything it needs out of
-				// env.Body, so the request buffer can go back.
-				reqBuf.Release()
-				out <- outMsg{buf: resp}
-				return
-			}
-			resp := s.dispatch(cs, env)
-			s.latency.ObserveDuration(time.Since(start))
-			out <- outMsg{env: resp}
-		}(env, reqBuf)
+			resp := s.handle(cs, env)
+			// dispatch decoded everything it needs out of env.Body, so
+			// the request buffer can go back.
+			reqBuf.Release()
+			out <- resp
+		}(env)
 	}
-	if readBuf != nil {
-		readBuf.Release()
-	}
+	readBuf.Release()
 	handlers.Wait()
 	// Handlers are done, so nobody can add subscriptions anymore: cancel
 	// the connection's fan-out registrations and stop the pusher before
@@ -802,21 +728,62 @@ func (s *Server) ServeConn(conn io.ReadWriter) {
 	finish()
 }
 
-// dispatchAppend executes one request and appends the encoded response
-// envelope to buf. The hot read and ingest types are decoded and encoded
-// through the wire package's zero-allocation paths; everything else
-// delegates to dispatch and re-encodes its envelope, which costs what it
-// always did. env.Body may alias a pooled request buffer — it is dead
-// once this function returns.
-func (s *Server) dispatchAppend(cs *connSubs, env wire.Envelope, buf []byte) []byte {
+// handle executes one request, on the reader goroutine (inlineRead) or
+// a handler goroutine, and returns the encoded response in a pooled
+// frame the caller hands to the writer queue.
+func (s *Server) handle(cs *connSubs, env wire.Envelope) *wire.Buf {
+	if s.beforeHandle != nil {
+		s.beforeHandle(env.Type)
+	}
+	start := time.Now()
+	resp := wire.GetBuf()
+	resp.B = s.dispatch(cs, env, resp.B)
+	s.latency.ObserveDuration(time.Since(start))
+	return resp
+}
+
+// DispatchBytes executes one decoded request envelope and returns buf
+// extended with the encoded response envelope. It is the transport-free
+// entry point the allocation-budget suite and benchmarks measure;
+// ServeConn goes through the same code. env.Body may alias a
+// caller-owned buffer — it is dead once the call returns. Subscription
+// management types are not supported (they need per-connection state).
+func (s *Server) DispatchBytes(env wire.Envelope, buf []byte) []byte {
+	return s.dispatch(nil, env, buf)
+}
+
+// dispatch executes one request envelope and appends the encoded
+// response envelope to buf. It is called from the reader and handler
+// goroutines and must stay safe for concurrent use; all mutable state it
+// touches is behind the registry and location-database locks. env.Body
+// may alias a pooled request buffer — it is dead once this function
+// returns. cs carries the connection's subscription state; it is nil
+// inside a batch, where subscription management is not allowed (a batch
+// answers once, a subscription pushes forever).
+//
+// The hot read and ingest types are decoded and encoded through the wire
+// package's zero-allocation paths; everything else goes through
+// encoding/json, which costs what it always did.
+func (s *Server) dispatch(cs *connSubs, env wire.Envelope, buf []byte) []byte {
+	if c, ok := s.reqCount[env.Type]; ok {
+		c.Inc()
+	} else {
+		s.reqOther.Inc()
+	}
 	fail := func(err error) []byte {
 		s.errCount.Inc()
-		werr := wire.Error{Code: errorCode(err), Message: err.Error()}
-		return wire.AppendEnvelope(buf, wire.MsgError, env.Seq, &werr)
+		return appendError(buf, env.Seq, err)
 	}
+	ok := func(t wire.MsgType, body any) []byte {
+		resp, err := wire.MarshalBody(t, env.Seq, body)
+		if err != nil {
+			return fail(err)
+		}
+		return wire.AppendEnvelopeRaw(buf, resp)
+	}
+
 	switch env.Type {
 	case wire.MsgLocate:
-		s.reqCount[wire.MsgLocate].Inc()
 		// The fallback decodes into its own variable so taking its
 		// address for UnmarshalBody does not push the hot-path q (and
 		// everything reachable from it) onto the heap; likewise the
@@ -838,7 +805,6 @@ func (s *Server) dispatchAppend(cs *connSubs, env wire.Envelope, buf []byte) []b
 		buf = res.AppendTo(buf)
 		return append(buf, '}')
 	case wire.MsgLocateAt:
-		s.reqCount[wire.MsgLocateAt].Inc()
 		var q wire.LocateAt
 		if !q.DecodeBody(env.Body) {
 			var slow wire.LocateAt
@@ -855,7 +821,6 @@ func (s *Server) dispatchAppend(cs *connSubs, env wire.Envelope, buf []byte) []b
 		buf = res.AppendTo(buf)
 		return append(buf, '}')
 	case wire.MsgPresenceBatch:
-		s.reqCount[wire.MsgPresenceBatch].Inc()
 		var b wire.PresenceBatch
 		if err := wire.UnmarshalBody(env, &b); err != nil {
 			return fail(err)
@@ -865,47 +830,6 @@ func (s *Server) dispatchAppend(cs *connSubs, env wire.Envelope, buf []byte) []b
 			return fail(err)
 		}
 		return wire.AppendEnvelope(buf, wire.MsgIngestAck, env.Seq, &ack)
-	default:
-		return wire.AppendEnvelopeRaw(buf, s.dispatch(cs, env))
-	}
-}
-
-// DispatchBytes executes one decoded request envelope through the
-// append-style dispatch path and returns buf extended with the encoded
-// response envelope. It is the transport-free entry point the
-// allocation-budget suite and benchmarks measure; ServeConn goes
-// through the same code. env.Body may alias a caller-owned buffer — it
-// is dead once the call returns. Subscription management types are not
-// supported (they need per-connection state).
-func (s *Server) DispatchBytes(env wire.Envelope, buf []byte) []byte {
-	return s.dispatchAppend(nil, env, buf)
-}
-
-// dispatch executes one request envelope and returns the response
-// envelope. It is called from handler goroutines and must stay safe for
-// concurrent use; all mutable state it touches is behind the registry and
-// location-database locks. cs carries the connection's subscription
-// state; it is nil inside a batch, where subscription management is not
-// allowed (a batch answers once, a subscription pushes forever).
-func (s *Server) dispatch(cs *connSubs, env wire.Envelope) wire.Envelope {
-	if c, ok := s.reqCount[env.Type]; ok {
-		c.Inc()
-	} else {
-		s.reqOther.Inc()
-	}
-	fail := func(err error) wire.Envelope {
-		s.errCount.Inc()
-		return errorEnvelope(env.Seq, err)
-	}
-	ok := func(t wire.MsgType, body any) wire.Envelope {
-		resp, err := wire.MarshalBody(t, env.Seq, body)
-		if err != nil {
-			return fail(err)
-		}
-		return resp
-	}
-
-	switch env.Type {
 	case wire.MsgHello:
 		var h wire.Hello
 		if err := wire.UnmarshalBody(env, &h); err != nil {
@@ -942,26 +866,6 @@ func (s *Server) dispatch(cs *connSubs, env wire.Envelope) wire.Envelope {
 			return fail(err)
 		}
 		return ok(wire.MsgOK, struct{}{})
-	case wire.MsgLocate:
-		var q wire.Locate
-		if err := wire.UnmarshalBody(env, &q); err != nil {
-			return fail(err)
-		}
-		res, err := s.Locate(q)
-		if err != nil {
-			return fail(err)
-		}
-		return ok(wire.MsgLocateResult, res)
-	case wire.MsgLocateAt:
-		var q wire.LocateAt
-		if err := wire.UnmarshalBody(env, &q); err != nil {
-			return fail(err)
-		}
-		res, err := s.LocateAt(q)
-		if err != nil {
-			return fail(err)
-		}
-		return ok(wire.MsgLocateResult, res)
 	case wire.MsgTrajectory:
 		var q wire.TrajectoryQuery
 		if err := wire.UnmarshalBody(env, &q); err != nil {
@@ -991,16 +895,6 @@ func (s *Server) dispatch(cs *connSubs, env wire.Envelope) wire.Envelope {
 			return fail(fmt.Errorf("%w: room %d", building.ErrUnknownRoom, h.Room))
 		}
 		ackRes, err := s.ingest.Hello(h)
-		if err != nil {
-			return fail(err)
-		}
-		return ok(wire.MsgIngestAck, ackRes)
-	case wire.MsgPresenceBatch:
-		var b wire.PresenceBatch
-		if err := wire.UnmarshalBody(env, &b); err != nil {
-			return fail(err)
-		}
-		ackRes, err := s.ingest.Apply(b)
 		if err != nil {
 			return fail(err)
 		}
@@ -1078,20 +972,24 @@ func (s *Server) dispatch(cs *connSubs, env wire.Envelope) wire.Envelope {
 		if err := wire.UnmarshalBody(env, &b); err != nil {
 			return fail(err)
 		}
-		res := wire.BatchResult{Responses: make([]wire.Envelope, 0, len(b.Requests))}
-		for _, req := range b.Requests {
+		// Sequential execution in request order, each inner response
+		// appended straight into the batch.result body; inner failures
+		// become inner MsgError responses without aborting the batch.
+		// Subscription management is excluded (nil cs).
+		buf = wire.AppendEnvelopePrefix(buf, wire.MsgBatchResult, env.Seq)
+		buf = append(buf, `{"responses":[`...)
+		for i, req := range b.Requests {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
 			if req.Type == wire.MsgBatch {
 				s.errCount.Inc()
-				res.Responses = append(res.Responses,
-					errorEnvelope(req.Seq, fmt.Errorf("%w: nested batch", wire.ErrMalformed)))
+				buf = appendError(buf, req.Seq, fmt.Errorf("%w: nested batch", wire.ErrMalformed))
 				continue
 			}
-			// Sequential execution in request order; inner failures
-			// become inner MsgError responses without aborting the
-			// batch. Subscription management is excluded (nil cs).
-			res.Responses = append(res.Responses, s.dispatch(nil, req))
+			buf = s.dispatch(nil, req, buf)
 		}
-		return ok(wire.MsgBatchResult, res)
+		return append(buf, `]}}`...)
 	default:
 		return fail(fmt.Errorf("unknown message type %q", env.Type))
 	}

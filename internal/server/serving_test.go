@@ -1,8 +1,10 @@
 package server_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -142,6 +144,62 @@ func TestUnknownProtocolByte(t *testing.T) {
 	}
 	if env.Type != wire.MsgError {
 		t.Fatalf("response = %+v, want MsgError", env)
+	}
+}
+
+// TestV1LineBounded: a v1 line is bounded at wire.MaxFramePayload like a
+// v2 payload. A peer streaming bytes without ever sending a newline is
+// answered bad-request (seq 0) and disconnected instead of growing the
+// server's receive buffer forever; a line of exactly the limit is still
+// a request.
+func TestV1LineBounded(t *testing.T) {
+	// line returns a v1 rooms request padded to n bytes before the newline.
+	line := func(n int) []byte {
+		head, tail := `{"type":"rooms","seq":7,"body":{"pad":"`, `"}}`
+		b := append([]byte(head), bytes.Repeat([]byte{'x'}, n-len(head)-len(tail))...)
+		return append(append(b, tail...), '\n')
+	}
+	cases := []struct {
+		name     string
+		raw      []byte
+		wantType wire.MsgType
+		wantSeq  uint64
+	}{
+		{"2 MiB without newline", bytes.Repeat([]byte{'{'}, 2<<20), wire.MsgError, 0},
+		{"one byte over", line(wire.MaxFramePayload + 1), wire.MsgError, 0},
+		{"exactly at the limit", line(wire.MaxFramePayload), wire.MsgRoomsResult, 7},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newServer(t)
+			conn := servePipe(t, s)
+			conn.SetDeadline(time.Now().Add(10 * time.Second))
+			// net.Pipe is synchronous: the write only completes (or fails,
+			// once the server hangs up) while the server reads.
+			go conn.Write(tc.raw)
+
+			codec := wire.NewCodec(conn)
+			env, err := codec.Recv()
+			if err != nil {
+				t.Fatalf("expected a response, got transport error %v", err)
+			}
+			if env.Type != tc.wantType || env.Seq != tc.wantSeq {
+				t.Fatalf("response = %s seq %d, want %s seq %d", env.Type, env.Seq, tc.wantType, tc.wantSeq)
+			}
+			if tc.wantType != wire.MsgError {
+				return
+			}
+			var werr wire.Error
+			if err := wire.UnmarshalBody(env, &werr); err != nil {
+				t.Fatal(err)
+			}
+			if werr.Code != wire.CodeBadRequest {
+				t.Errorf("code = %q, want %q", werr.Code, wire.CodeBadRequest)
+			}
+			if _, err := codec.Recv(); !errors.Is(err, io.EOF) {
+				t.Errorf("after the error reply: %v, want EOF", err)
+			}
+		})
 	}
 }
 

@@ -96,18 +96,17 @@ func WithMaxSubsPerConn(n int) Option {
 // from fan-out callbacks on arbitrary publishing goroutines.
 type connSubs struct {
 	srv *Server
-	tr  wire.Transport
-	// ps is the transport's pooled-payload send path (nil for foreign
-	// transports); events are encoded once into a pooled buffer at
-	// publish time and the pump writes the bytes straight out.
-	ps wire.PayloadSender
+	tr  *wire.FrameCodec
 	// raw severs the underlying connection without taking transport
-	// locks — Transport.Close takes the write mutex, which a Send
+	// locks — FrameCodec.Close takes the write mutex, which a send
 	// stalled on a full socket holds, so the slow-consumer backstop
 	// must bypass it.
 	raw io.Closer
 
-	events chan outMsg
+	// events holds pushed MsgEvent frames, each encoded once into a
+	// pooled buffer at publish time; the queue owns a frame until the
+	// pump (or a drop/teardown path) releases it.
+	events chan *wire.Buf
 	kill   chan struct{}
 
 	startOnce sync.Once
@@ -121,18 +120,16 @@ type connSubs struct {
 	closed bool
 }
 
-func newConnSubs(s *Server, tr wire.Transport, raw io.Closer) *connSubs {
-	cs := &connSubs{
+func newConnSubs(s *Server, tr *wire.FrameCodec, raw io.Closer) *connSubs {
+	return &connSubs{
 		srv:      s,
 		tr:       tr,
 		raw:      raw,
-		events:   make(chan outMsg, s.eventBuffer),
+		events:   make(chan *wire.Buf, s.eventBuffer),
 		kill:     make(chan struct{}),
 		pumpDone: make(chan struct{}),
 		subs:     make(map[string]*fanout.Subscription),
 	}
-	cs.ps, _ = tr.(wire.PayloadSender)
-	return cs
 }
 
 // add registers one subscription: reserve the id, register on the
@@ -158,7 +155,7 @@ func (cs *connSubs) add(id string, f fanout.Filter) error {
 
 	cs.startOnce.Do(func() { go cs.pump() })
 	fsub := cs.srv.tree.Subscribe(f, func(e fanout.Event) {
-		cs.push(cs.eventMsg(id, e))
+		cs.push(cs.eventFrame(id, e))
 	})
 	cs.mu.Lock()
 	cs.subs[id] = fsub
@@ -189,13 +186,11 @@ func (cs *connSubs) drop(id string) error {
 // synchronous. A full buffer drops the event
 // (accounted, never silent — and the pooled payload is released);
 // crossing the drop limit declares the connection a slow consumer.
-func (cs *connSubs) push(m outMsg) {
+func (cs *connSubs) push(m *wire.Buf) {
 	cs.mu.Lock()
 	if cs.closed || cs.killed {
 		cs.mu.Unlock()
-		if m.buf != nil {
-			m.buf.Release()
-		}
+		m.Release()
 		return
 	}
 	select {
@@ -206,9 +201,7 @@ func (cs *connSubs) push(m outMsg) {
 		cs.drops++
 		over := cs.drops >= int64(cs.srv.dropLimit)
 		cs.mu.Unlock()
-		if m.buf != nil {
-			m.buf.Release()
-		}
+		m.Release()
 		cs.srv.evDropped.Inc()
 		if over {
 			cs.killSlow()
@@ -243,7 +236,7 @@ func (cs *connSubs) killSlow() {
 // until teardown.
 func (cs *connSubs) pump() {
 	defer close(cs.pumpDone)
-	fw := newFlushWriter(cs.srv, cs.tr)
+	fw := &flushWriter{srv: cs.srv, tr: cs.tr}
 	for {
 		select {
 		case m, ok := <-cs.events:
@@ -253,8 +246,7 @@ func (cs *connSubs) pump() {
 				case m, ok = <-cs.events:
 					continue
 				case <-cs.kill:
-					fw.flush()
-					cs.pumpKill()
+					cs.pumpKill(fw)
 					return
 				default:
 				}
@@ -266,31 +258,24 @@ func (cs *connSubs) pump() {
 				return
 			}
 		case <-cs.kill:
-			fw.flush()
-			cs.pumpKill()
+			cs.pumpKill(fw)
 			return
 		}
 	}
 }
 
 // pumpKill answers the slow-consumer condemnation with a best-effort
-// MsgError, severs the socket, and drains the event buffer until
-// shutdown closes it, releasing every queued payload.
-func (cs *connSubs) pumpKill() {
-	resp, merr := wire.MarshalBody(wire.MsgError, 0, wire.Error{
-		Code:    wire.CodeSlowConsumer,
-		Message: errSlowConsumer.Error(),
-	})
-	if merr == nil {
-		_ = cs.tr.Send(resp)
-	}
+// MsgError behind whatever events are already staged, severs the socket,
+// and drains the event buffer until shutdown closes it, releasing every
+// queued frame.
+func (cs *connSubs) pumpKill(fw *flushWriter) {
+	fw.write(errorFrame(0, errSlowConsumer))
+	fw.flush()
 	if cs.raw != nil {
 		_ = cs.raw.Close()
 	}
 	for m := range cs.events {
-		if m.buf != nil {
-			m.buf.Release()
-		}
+		m.Release()
 	}
 }
 
@@ -410,22 +395,11 @@ func (s *Server) eventBody(id string, e fanout.Event) wire.Event {
 	return body
 }
 
-// eventMsg encodes one fan-out event as a queued push message. On the
-// pooled path the MsgEvent envelope is appended straight into a pooled
-// buffer owned by the event queue until the pump (or a drop/teardown
-// path) releases it; foreign transports get a marshaled envelope.
-func (cs *connSubs) eventMsg(id string, e fanout.Event) outMsg {
+// eventFrame encodes one fan-out event as a queued push frame: the
+// MsgEvent envelope appended straight into a pooled buffer.
+func (cs *connSubs) eventFrame(id string, e fanout.Event) *wire.Buf {
 	body := cs.srv.eventBody(id, e)
-	if cs.ps == nil {
-		env, err := wire.MarshalBody(wire.MsgEvent, 0, body)
-		if err != nil {
-			// Marshalling a flat struct cannot fail; deliver an empty
-			// event rather than nothing.
-			return outMsg{env: wire.Envelope{Type: wire.MsgEvent}}
-		}
-		return outMsg{env: env}
-	}
 	buf := wire.GetBuf()
 	buf.B = wire.AppendEnvelope(buf.B, wire.MsgEvent, 0, &body)
-	return outMsg{buf: buf}
+	return buf
 }

@@ -350,7 +350,7 @@ func DecodeEnvelope(payload []byte) (Envelope, error) {
 // escape-free known type, no surrounding whitespace, and a valid JSON
 // body. ok is false on any deviation.
 func decodeEnvelopeFast(p []byte) (env Envelope, ok bool) {
-	// Tolerate the v1 line terminator so both codecs can share this.
+	// Tolerate the v1 line terminator so both framings can share this.
 	for len(p) > 0 && (p[len(p)-1] == '\n' || p[len(p)-1] == '\r') {
 		p = p[:len(p)-1]
 	}

@@ -143,37 +143,36 @@ func TestAppendEnvelopeTypedBody(t *testing.T) {
 	}
 }
 
-// TestSendAppendFramesIdentical proves the pooled append send path puts
-// exactly the same bytes on the wire as Transport.Send, for both wire
-// versions.
+// TestSendAppendFramesIdentical proves the in-place append send path
+// puts exactly the same bytes on the wire as the marshaling Send, for
+// both framings.
 func TestSendAppendFramesIdentical(t *testing.T) {
 	bodies := appenderSamples()
 	for _, version := range []string{"v1", "v2"} {
 		var legacy, fast bytes.Buffer
-		var legacyT, fastT Transport
-		var legacyA AppendSender
+		mk := NewFrameCodec
 		if version == "v1" {
-			legacyT, fastT = NewCodec(rwOnly{&legacy}), NewCodec(rwOnly{&fast})
-		} else {
-			legacyT, fastT = NewFrameCodec(rwOnly{&legacy}), NewFrameCodec(rwOnly{&fast})
+			mk = NewCodec
 		}
-		legacyA = fastT.(AppendSender)
+		legacyC, fastC := mk(rwOnly{&legacy}), mk(rwOnly{&fast})
 		for i, body := range bodies {
 			env, err := MarshalBody(MsgEvent, uint64(i), body)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := legacyT.Send(env); err != nil {
+			if err := legacyC.Send(env); err != nil {
 				t.Fatal(err)
 			}
-			if err := legacyA.SendAppend(MsgEvent, uint64(i), body); err != nil {
+			if err := fastC.sendAppendNoFlush(MsgEvent, uint64(i), body); err != nil {
+				t.Fatal(err)
+			}
+			if err := fastC.Flush(); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if !bytes.Equal(legacy.Bytes(), fast.Bytes()) {
-			t.Errorf("%s: SendAppend stream differs from Send stream", version)
+			t.Errorf("%s: append-encoded stream differs from Send stream", version)
 		}
-		_ = legacyT
 	}
 }
 
@@ -293,15 +292,13 @@ func TestCallFastPathEndToEnd(t *testing.T) {
 	defer client.Close()
 
 	go func() {
-		tr, err := ServerTransport(srvConn)
+		tr, err := ServerTransport(srvConn, 0)
 		if err != nil {
 			return
 		}
-		br := tr.(BufRecver)
-		ps := tr.(PayloadSender)
 		var buf []byte
 		for {
-			env, b, err := br.RecvBuf(buf)
+			env, b, err := tr.RecvBuf(buf)
 			buf = b
 			if err != nil {
 				return
@@ -314,7 +311,7 @@ func TestCallFastPathEndToEnd(t *testing.T) {
 			}
 			res := LocateResult{Room: 6, RoomName: "Lab " + q.Target, At: 42}
 			out := AppendEnvelope(nil, MsgLocateResult, env.Seq, &res)
-			if err := ps.SendPayload(out); err != nil {
+			if err := tr.SendPayload(out); err != nil {
 				return
 			}
 		}

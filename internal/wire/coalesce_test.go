@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -10,20 +11,9 @@ import (
 	"testing"
 )
 
-// coalescable is the union of everything a flush-coalescing writer may
-// call on a codec. Both Codec and FrameCodec satisfy it; the unexported
-// sendAppendNoFlush is reachable here because this test lives in
-// package wire.
-type coalescable interface {
-	Send(Envelope) error
-	AppendSender
-	BatchSender
-	sendAppendNoFlush(t MsgType, seq uint64, body Appender) error
-}
-
 // coalesceOp is one step of a differential byte-stream run.
 type coalesceOp struct {
-	kind    int // 0 Send, 1 SendPayload, 2 SendAppend, 3 Flush
+	kind    int // 0 Send, 1 SendPayload, 2 sendAppendNoFlush, 3 Flush
 	env     Envelope
 	payload []byte
 	body    Appender
@@ -66,9 +56,10 @@ func (p rawPad) AppendTo(buf []byte) []byte {
 
 // runCoalescePlan executes plan against c. In coalesced mode payload
 // and append sends stage without flushing, exactly as the server's
-// writer loop drives them; envelope Sends and explicit Flush ops behave
-// identically in both modes.
-func runCoalescePlan(t *testing.T, c coalescable, plan []coalesceOp, coalesce bool) {
+// writer loop and the Client drive them; in eager mode each is flushed
+// on its own. Envelope Sends and explicit Flush ops behave identically
+// in both modes.
+func runCoalescePlan(t *testing.T, c *FrameCodec, plan []coalesceOp, coalesce bool) {
 	t.Helper()
 	for i, op := range plan {
 		var err error
@@ -82,10 +73,9 @@ func runCoalescePlan(t *testing.T, c coalescable, plan []coalesceOp, coalesce bo
 				err = c.SendPayload(op.payload)
 			}
 		case 2:
-			if coalesce {
-				err = c.sendAppendNoFlush(MsgLocate, op.seq, op.body)
-			} else {
-				err = c.SendAppend(MsgLocate, op.seq, op.body)
+			err = c.sendAppendNoFlush(MsgLocate, op.seq, op.body)
+			if err == nil && !coalesce {
+				err = c.Flush()
 			}
 		case 3:
 			err = c.Flush()
@@ -101,17 +91,19 @@ func runCoalescePlan(t *testing.T, c coalescable, plan []coalesceOp, coalesce bo
 
 // TestCoalescedStreamByteIdentical is the differential test for flush
 // coalescing: an interleaved sequence of Send / SendPayload /
-// SendAppend operations must put byte-for-byte the same stream on the
+// append-encoded operations must put byte-for-byte the same stream on the
 // wire whether every send flushes or the sends stage and flush lazily.
 // Coalescing may only change TCP segmentation, never content — see
 // docs/PROTOCOL.md.
 func TestCoalescedStreamByteIdentical(t *testing.T) {
 	codecs := []struct {
 		name string
-		mk   func(rw io.ReadWriter, wbuf int) coalescable
+		mk   func(rw io.ReadWriter, wbuf int) *FrameCodec
 	}{
-		{"v2", func(rw io.ReadWriter, wbuf int) coalescable { return NewFrameCodecBuffered(rw, wbuf) }},
-		{"v1", func(rw io.ReadWriter, wbuf int) coalescable { return NewCodecBuffered(rw, wbuf) }},
+		{"v2", NewFrameCodecBuffered},
+		{"v1", func(rw io.ReadWriter, wbuf int) *FrameCodec {
+			return newFrameCodec(rw, bufio.NewReader(rw), wbuf, true)
+		}},
 	}
 	// 64 B forces mid-plan self-flushes; 64 KiB holds everything staged
 	// until the explicit flushes.
@@ -146,7 +138,7 @@ func TestClientGroupCommitConcurrent(t *testing.T) {
 	serveDone := make(chan struct{})
 	go func() {
 		defer close(serveDone)
-		tr, err := ServerTransport(srvConn)
+		tr, err := ServerTransport(srvConn, 0)
 		if err != nil {
 			return
 		}

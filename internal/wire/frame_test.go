@@ -88,12 +88,22 @@ func TestFrameRecvCleanEOF(t *testing.T) {
 	}
 }
 
+// TestFrameSendOversized: both framings refuse to send what the peer's
+// reader would reject, on the marshaling and the append-encoded path.
 func TestFrameSendOversized(t *testing.T) {
-	var buf rwBuffer
-	c := NewFrameCodec(&buf)
 	huge := Envelope{Type: MsgHello, Body: []byte(`"` + strings.Repeat("x", MaxFramePayload) + `"`)}
-	if err := c.Send(huge); err == nil {
-		t.Error("oversized send accepted")
+	for name, mk := range map[string]func(io.ReadWriter) *FrameCodec{"v1": NewCodec, "v2": NewFrameCodec} {
+		var buf rwBuffer
+		c := mk(&buf)
+		if err := c.Send(huge); err == nil {
+			t.Errorf("%s: oversized Send accepted", name)
+		}
+		if err := c.sendAppendNoFlush(MsgHello, 1, rawPad(huge.Body)); err == nil {
+			t.Errorf("%s: oversized append-encoded send accepted", name)
+		}
+		if err := c.Flush(); err != nil || buf.Len() != 0 {
+			t.Errorf("%s: refused sends left %d bytes on the stream (flush: %v)", name, buf.Len(), err)
+		}
 	}
 }
 
@@ -140,12 +150,12 @@ func TestServerTransportSniff(t *testing.T) {
 		if err := NewFrameCodec(&buf).Send(Envelope{Type: MsgRooms, Seq: 1}); err != nil {
 			t.Fatal(err)
 		}
-		tr, err := ServerTransport(&buf)
+		tr, err := ServerTransport(&buf, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := tr.(*FrameCodec); !ok {
-			t.Fatalf("transport = %T, want *FrameCodec", tr)
+		if tr.v1 {
+			t.Fatal("sniffed v1 framing, want v2")
 		}
 		env, err := tr.Recv()
 		if err != nil || env.Type != MsgRooms {
@@ -157,12 +167,12 @@ func TestServerTransportSniff(t *testing.T) {
 		if err := NewCodec(&buf).Send(Envelope{Type: MsgRooms, Seq: 1}); err != nil {
 			t.Fatal(err)
 		}
-		tr, err := ServerTransport(&buf)
+		tr, err := ServerTransport(&buf, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := tr.(*Codec); !ok {
-			t.Fatalf("transport = %T, want *Codec", tr)
+		if !tr.v1 {
+			t.Fatal("sniffed v2 framing, want v1")
 		}
 		env, err := tr.Recv()
 		if err != nil || env.Type != MsgRooms {
@@ -171,7 +181,7 @@ func TestServerTransportSniff(t *testing.T) {
 	})
 	t.Run("unknown byte", func(t *testing.T) {
 		buf := rwBuffer{Buffer: *bytes.NewBufferString("GET / HTTP/1.1\r\n")}
-		tr, err := ServerTransport(&buf)
+		tr, err := ServerTransport(&buf, 0)
 		if !errors.Is(err, ErrMalformed) {
 			t.Fatalf("err = %v, want ErrMalformed", err)
 		}
@@ -180,7 +190,7 @@ func TestServerTransportSniff(t *testing.T) {
 		}
 	})
 	t.Run("empty stream", func(t *testing.T) {
-		tr, err := ServerTransport(&rwBuffer{})
+		tr, err := ServerTransport(&rwBuffer{}, 0)
 		if !errors.Is(err, io.EOF) || tr != nil {
 			t.Fatalf("= %v, %v; want nil, EOF", tr, err)
 		}
@@ -201,7 +211,7 @@ func TestClientOverBothTransports(t *testing.T) {
 			defer b.Close()
 			// Peer: answer every request with MsgOK of the same seq.
 			go func() {
-				tr, err := ServerTransport(b)
+				tr, err := ServerTransport(b, 0)
 				if err != nil {
 					return
 				}

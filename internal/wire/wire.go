@@ -1,15 +1,15 @@
 // Package wire defines the LAN protocol between BIPS workstations, mobile
-// clients and the central server, in two wire versions over any
-// io.ReadWriter (TCP in the live system, net.Pipe in tests and
-// simulations):
+// clients and the central server, over any io.ReadWriter (TCP in the live
+// system, net.Pipe in tests and simulations). One connection type,
+// FrameCodec (frame.go), carries it in either of two framings of the same
+// JSON envelopes:
 //
-//   - v1: newline-delimited JSON envelopes (Codec) — one document per
-//     line, human-debuggable with netcat.
-//   - v2: length-prefixed frames (FrameCodec, see frame.go) carrying the
-//     same JSON envelopes — cheaper to parse, sized up front, and safe to
-//     pipeline aggressively.
+//   - v1 (NewCodec): newline-delimited — one document per line,
+//     human-debuggable with netcat.
+//   - v2 (NewFrameCodec): length-prefixed frames — cheaper to parse, sized
+//     up front, and safe to pipeline aggressively.
 //
-// A server sniffs the version from the first byte (ServerTransport), so v1
+// A server sniffs the framing from the first byte (ServerTransport), so v1
 // clients keep working unchanged against a v2 server.
 //
 // Every request envelope carries a sequence number — the correlation id.
@@ -22,7 +22,6 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -390,94 +389,14 @@ func UnmarshalBody(env Envelope, out any) error {
 // ErrClosed is returned after Close.
 var ErrClosed = errors.New("wire: connection closed")
 
-// Codec reads and writes envelopes over a stream, one JSON document per
-// line. Send and Recv are each safe for one concurrent caller; Send may be
-// called from multiple goroutines.
-type Codec struct {
-	writeMu sync.Mutex
-	w       *bufio.Writer
-	r       *bufio.Reader
-	closer  io.Closer
-	closed  bool
-}
-
-// NewCodec wraps a stream. If rw implements io.Closer, Close closes it.
-func NewCodec(rw io.ReadWriter) *Codec {
-	return newCodec(rw, bufio.NewReader(rw), 0)
-}
-
-// NewCodecBuffered is NewCodec with an explicit write-buffer size: how
-// many bytes SendPayloadNoFlush can stage before the buffer flushes
-// itself. Sizes <= 0 select the bufio default.
-func NewCodecBuffered(rw io.ReadWriter, wbuf int) *Codec {
-	return newCodec(rw, bufio.NewReader(rw), wbuf)
-}
-
-// newCodec builds a Codec over an already-buffered reader, so the
-// server-side version sniffer can hand over the reader it peeked into.
-// wbuf sizes the write buffer (<= 0: the bufio default).
-func newCodec(rw io.ReadWriter, r *bufio.Reader, wbuf int) *Codec {
-	c := &Codec{
-		w: bufio.NewWriterSize(rw, wbuf),
-		r: r,
-	}
-	if cl, ok := rw.(io.Closer); ok {
-		c.closer = cl
-	}
-	return c
-}
-
-// Send writes one envelope.
-func (c *Codec) Send(env Envelope) error {
-	raw, err := json.Marshal(env)
-	if err != nil {
-		return fmt.Errorf("wire: encode: %w", err)
-	}
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if c.closed {
-		return ErrClosed
-	}
-	if _, err := c.w.Write(raw); err != nil {
-		return fmt.Errorf("wire: write: %w", err)
-	}
-	if err := c.w.WriteByte('\n'); err != nil {
-		return fmt.Errorf("wire: write: %w", err)
-	}
-	if err := c.w.Flush(); err != nil {
-		return fmt.Errorf("wire: flush: %w", err)
-	}
-	return nil
-}
-
-// Recv reads one envelope, blocking until a full line arrives.
-func (c *Codec) Recv() (Envelope, error) {
-	env, _, err := c.RecvBuf(nil)
-	return env, err
-}
-
-// Close closes the underlying stream when it is closable.
-func (c *Codec) Close() error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	if c.closer != nil {
-		return c.closer.Close()
-	}
-	return nil
-}
-
-// Client is a synchronous RPC client over a Transport (v1 Codec or v2
-// FrameCodec). A single receive loop dispatches responses to waiting
+// Client is a synchronous RPC client over a FrameCodec in either
+// framing. A single receive loop dispatches responses to waiting
 // callers by sequence number, so multiple goroutines may issue calls
 // concurrently — each in-flight call is one pipelined request on the
 // shared connection, and out-of-order completion by the server is handled
 // transparently.
 type Client struct {
-	codec Transport
+	codec *FrameCodec
 
 	mu      sync.Mutex
 	nextSeq uint64
@@ -487,7 +406,7 @@ type Client struct {
 	done    chan struct{}
 
 	// sendMu guards writers: how many goroutines are currently staging
-	// a request on a BatchSender transport. Concurrent pipelined calls
+	// a request. Concurrent pipelined calls
 	// group-commit — each stages its frame without flushing and the
 	// last one out issues the single Flush — so a burst of requests
 	// from many workers leaves in one write(2). A lone caller sees
@@ -497,9 +416,8 @@ type Client struct {
 }
 
 // callDone hands a response from the receive loop to the waiting
-// caller. buf is the pooled receive buffer the envelope's Body aliases
-// (nil on the allocating Transport fallback); the receiver owns it and
-// releases it after decoding.
+// caller. buf is the pooled receive buffer the envelope's Body aliases;
+// the receiver owns it and releases it after decoding.
 type callDone struct {
 	env Envelope
 	buf *Buf
@@ -513,7 +431,7 @@ var doneChanPool = sync.Pool{
 }
 
 // NewClient starts the receive loop over the codec.
-func NewClient(codec Transport) *Client {
+func NewClient(codec *FrameCodec) *Client {
 	c := &Client{
 		codec:   codec,
 		pending: make(map[uint64]chan callDone),
@@ -552,21 +470,13 @@ func (c *Client) Err() error {
 
 func (c *Client) recvLoop() {
 	defer close(c.done)
-	br, fast := c.codec.(BufRecver)
 	for {
+		buf := GetBuf()
 		var env Envelope
-		var buf *Buf
 		var err error
-		if fast {
-			buf = GetBuf()
-			env, buf.B, err = br.RecvBuf(buf.B)
-		} else {
-			env, err = c.codec.Recv()
-		}
+		env, buf.B, err = c.codec.RecvBuf(buf.B)
 		if err != nil {
-			if buf != nil {
-				buf.Release()
-			}
+			buf.Release()
 			c.fail(fmt.Errorf("wire: receive: %w", err))
 			return
 		}
@@ -577,9 +487,7 @@ func (c *Client) recvLoop() {
 			if fn != nil {
 				fn(env)
 			}
-			if buf != nil {
-				buf.Release()
-			}
+			buf.Release()
 			continue
 		}
 		c.mu.Lock()
@@ -590,7 +498,7 @@ func (c *Client) recvLoop() {
 		c.mu.Unlock()
 		if ok {
 			ch <- callDone{env: env, buf: buf}
-		} else if buf != nil {
+		} else {
 			buf.Release()
 		}
 	}
@@ -610,9 +518,9 @@ func (c *Client) fail(err error) {
 
 // Call sends a request and waits for the matching response. A MsgError
 // response is converted into a *Error return value. Bodies that
-// implement Appender are encoded straight into a pooled send buffer
-// when the transport supports it (pass a pointer to skip even the
-// interface-boxing allocation); responses whose out implements
+// implement Appender are encoded straight into the connection's write
+// buffer (pass a pointer to skip even the interface-boxing allocation);
+// responses whose out implements
 // BodyDecoder are decoded without the encoding/json round trip.
 func (c *Client) Call(t MsgType, body any, out any) error {
 	c.mu.Lock()
@@ -644,84 +552,46 @@ func (c *Client) Call(t MsgType, body any, out any) error {
 	}
 	doneChanPool.Put(ch)
 	err := decodeResp(resp.env, out)
-	if resp.buf != nil {
-		resp.buf.Release()
-	}
+	resp.buf.Release()
 	return err
 }
 
-// send writes the request, preferring the pooled append path. On a
-// BatchSender transport the request is staged without flushing and the
-// last concurrent sender out flushes for everyone (group commit); the
-// flush always runs on the final decrement even after a staging error,
-// so a frame another caller staged is never stranded in the buffer.
+// send stages the request without flushing and the last concurrent
+// sender out flushes for everyone (group commit); the flush always runs
+// on the final decrement even after a staging error, so a frame another
+// caller staged is never stranded in the buffer.
 func (c *Client) send(t MsgType, seq uint64, body any) error {
-	bs, batch := c.codec.(BatchSender)
-	if !batch {
-		return c.sendNow(t, seq, body)
-	}
 	c.sendMu.Lock()
 	c.writers++
 	c.sendMu.Unlock()
-	err := c.stage(bs, t, seq, body)
+	err := c.stage(t, seq, body)
 	c.sendMu.Lock()
 	c.writers--
 	last := c.writers == 0
 	c.sendMu.Unlock()
 	if last {
-		if ferr := bs.Flush(); err == nil {
+		if ferr := c.codec.Flush(); err == nil {
 			err = ferr
 		}
 	}
 	return err
 }
 
-// stage encodes the request into the transport's write buffer without
-// flushing. Appender bodies on this package's own codecs encode in
-// place — no pooled buffer, no copy; everything else goes through a
-// pooled buffer and SendPayloadNoFlush.
-func (c *Client) stage(bs BatchSender, t MsgType, seq uint64, body any) error {
+// stage encodes the request into the connection's write buffer without
+// flushing. Appender bodies encode in place — no pooled buffer, no
+// copy; everything else is marshaled and goes through a pooled buffer.
+func (c *Client) stage(t MsgType, seq uint64, body any) error {
 	if a, ok := body.(Appender); ok {
-		switch cc := bs.(type) {
-		case *FrameCodec:
-			return cc.sendAppendNoFlush(t, seq, a)
-		case *Codec:
-			return cc.sendAppendNoFlush(t, seq, a)
-		}
-	}
-	buf := GetBuf()
-	defer buf.Release()
-	if a, ok := body.(Appender); ok {
-		buf.B = AppendEnvelope(buf.B, t, seq, a)
-	} else {
-		env, err := MarshalBody(t, seq, body)
-		if err != nil {
-			return err
-		}
-		buf.B = AppendEnvelopeRaw(buf.B, env)
-	}
-	return bs.SendPayloadNoFlush(buf.B)
-}
-
-// sendNow is the flush-per-send path for foreign transports that
-// implement none of the batching interfaces.
-func (c *Client) sendNow(t MsgType, seq uint64, body any) error {
-	if a, ok := body.(Appender); ok {
-		if as, ok := c.codec.(AppendSender); ok {
-			return as.SendAppend(t, seq, a)
-		}
+		return c.codec.sendAppendNoFlush(t, seq, a)
 	}
 	env, err := MarshalBody(t, seq, body)
 	if err != nil {
 		return err
 	}
-	if ps, ok := c.codec.(PayloadSender); ok {
-		buf := GetBuf()
-		defer buf.Release()
-		buf.B = AppendEnvelopeRaw(buf.B, env)
-		return ps.SendPayload(buf.B)
-	}
-	return c.codec.Send(env)
+	buf := GetBuf()
+	defer buf.Release()
+	buf.B = AppendEnvelopeRaw(buf.B, env)
+	return c.codec.SendPayloadNoFlush(buf.B)
 }
 
 // decodeResp decodes a response envelope into out; env.Body may alias
