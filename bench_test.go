@@ -259,16 +259,18 @@ func BenchmarkLocdbUpdate(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		dev := baseband.BDAddr(0xB000 + uint64(i%512))
-		db.SetPresence(dev, graph.NodeID(i%10+1), sim.Tick(i))
+		db.ApplyBatch([]locdb.Mutation{{Op: locdb.MutPresence, Dev: dev, Piconet: graph.NodeID(i%10 + 1), At: sim.Tick(i)}})
 	}
 }
 
 // BenchmarkLocdbLocate measures the spatio-temporal query.
 func BenchmarkLocdbLocate(b *testing.B) {
 	db := locdb.New()
-	for i := 0; i < 512; i++ {
-		db.SetPresence(baseband.BDAddr(0xB000+uint64(i)), graph.NodeID(i%10+1), sim.Tick(i))
+	muts := make([]locdb.Mutation, 512)
+	for i := range muts {
+		muts[i] = locdb.Mutation{Op: locdb.MutPresence, Dev: baseband.BDAddr(0xB000 + uint64(i)), Piconet: graph.NodeID(i%10 + 1), At: sim.Tick(i)}
 	}
+	db.ApplyBatch(muts)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

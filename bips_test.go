@@ -2,6 +2,7 @@ package bips
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -66,6 +67,44 @@ func TestLocateAndPath(t *testing.T) {
 	}
 	if path.RoomNames[0] != "Lobby" || path.RoomNames[len(path.RoomNames)-1] != "Cafeteria" {
 		t.Errorf("path rooms = %v", path.RoomNames)
+	}
+}
+
+// TestCloseReleasesDeployment: Close releases every goroutine a
+// deployment started — the server's own analytics sealer included —
+// so running many deployments in one process (Monte-Carlo replicas)
+// does not accumulate them, and queries still answer from memory
+// afterwards, as Close documents.
+func TestCloseReleasesDeployment(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		svc := newService(t, int64(i))
+		for _, u := range []string{"alice", "bob"} {
+			if _, err := svc.AddStationaryUser(u, "pw", "Library"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		svc.Start()
+		svc.Run(90 * time.Second)
+		svc.Stop()
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if loc, err := svc.Locate("alice", "bob"); err != nil || loc.RoomName != "Library" {
+			t.Fatalf("Locate after Close = %+v, %v", loc, err)
+		}
+		if cs, err := svc.Contacts("alice", "bob", 0, 90*time.Second, 0); err != nil || len(cs) != 1 || cs[0].User != "alice" {
+			t.Fatalf("Contacts after Close = %+v, %v", cs, err)
+		}
+	}
+	// Close joins what it stops; the grace period only absorbs
+	// goroutines of earlier tests that are still winding down.
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d before 10 New/Run/Close rounds, %d after", before, after)
 	}
 }
 

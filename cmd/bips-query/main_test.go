@@ -30,7 +30,8 @@ func startServer(t *testing.T) string {
 			t.Fatal(err)
 		}
 	}
-	srv := server.New(reg, locdb.New(), bld)
+	db := locdb.New()
+	srv := server.New(reg, db, bld)
 	srv.Logf = t.Logf
 	if err := srv.Login(wire.Login{User: "alice", Password: "pw", Device: "B0:00:00:00:00:01"}); err != nil {
 		t.Fatal(err)
@@ -38,16 +39,14 @@ func startServer(t *testing.T) string {
 	if err := srv.Login(wire.Login{User: "bob", Password: "pw", Device: "B0:00:00:00:00:02"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.ApplyPresence(wire.Presence{Device: "B0:00:00:00:00:01", Room: 1, At: 10, Present: true}); err != nil {
-		t.Fatal(err)
-	}
+	// Alice sits in room 1; bob walks 2 -> 5 -> 3.
+	muts := []locdb.Mutation{{Op: locdb.MutPresence, Dev: 0xB0_00_00_00_00_01, Piconet: 1, At: 10}}
 	for i, room := range []graph.NodeID{2, 5, 3} {
-		if err := srv.ApplyPresence(wire.Presence{
-			Device: "B0:00:00:00:00:02", Room: room, At: sim.Tick(1000 * (i + 1)), Present: true,
-		}); err != nil {
-			t.Fatal(err)
-		}
+		muts = append(muts, locdb.Mutation{
+			Op: locdb.MutPresence, Dev: 0xB0_00_00_00_00_02, Piconet: room, At: sim.Tick(1000 * (i + 1)),
+		})
 	}
+	db.ApplyBatch(muts)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

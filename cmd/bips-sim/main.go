@@ -105,6 +105,7 @@ func runTimeline(w io.Writer, users int, duration, step time.Duration, seed int6
 	if err != nil {
 		return err
 	}
+	defer svc.Close()
 	for _, u := range deployed {
 		fmt.Fprintf(w, "%s walking from %q on device %s\n", u.Name, u.Start, u.Device)
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -54,6 +55,34 @@ func TestSimCustomPlan(t *testing.T) {
 
 	if err := run(context.Background(), &sb, io.Discard, []string{"-plan", "/nonexistent.json"}); err == nil {
 		t.Error("missing plan file accepted")
+	}
+}
+
+// TestSimGolden pins the in-process deployment's end-to-end output —
+// the default timeline and a Monte-Carlo aggregate — byte for byte
+// against committed golden files.
+func TestSimGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"timeline.golden", []string{"-seed", "7", "-users", "5", "-duration", "5m"}},
+		{"replicas.golden", []string{"-replicas", "8", "-duration", "2m"}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			var sb strings.Builder
+			if err := run(context.Background(), &sb, io.Discard, tc.args); err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sb.String(); got != string(want) {
+				t.Errorf("bips-sim %v drifted from golden file:\n--- got ---\n%s\n--- want ---\n%s",
+					tc.args, got, want)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,11 @@
 package bips
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -99,6 +104,65 @@ func TestEventTimestampsMonotonic(t *testing.T) {
 			t.Errorf("timestamps went backwards: %v after %v (%+v)", e.At, last, e)
 		}
 		last = e.At
+	}
+}
+
+// TestEventStreamGolden pins the in-process deployment's event stream
+// for one fixed-seed run — logins, every enter/leave the workstations'
+// deltas produce, and a logout mid-run — byte for byte against the
+// committed golden file, so a change to the write path that reorders,
+// drops or retimes a delta is caught.
+func TestEventStreamGolden(t *testing.T) {
+	svc, err := New(WithSeed(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	sub := svc.Subscribe()
+	defer sub.Close()
+	rooms := svc.Rooms()
+	for i := 0; i < 6; i++ {
+		name := fmt.Sprintf("u%d", i)
+		svc.MustRegister(name, "pw")
+		if _, err := svc.AddWalkingUser(name, "pw", rooms[i%len(rooms)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc.Start()
+	defer svc.Stop()
+	events := drainEvents(sub)
+	// Short chunks keep every burst well inside the subscription buffer.
+	for elapsed := time.Duration(0); elapsed < 10*time.Minute; elapsed += 10 * time.Second {
+		if elapsed == 5*time.Minute {
+			if err := svc.Logout("u3"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		svc.Run(10 * time.Second)
+		events = append(events, drainEvents(sub)...)
+	}
+	if sub.Dropped() != 0 {
+		t.Fatalf("subscription dropped %d events", sub.Dropped())
+	}
+	// Links that time out at the same supervision tick disconnect in map
+	// order, so only one user's events are ordered within an instant;
+	// compare them by (time, user), keeping each user's own order.
+	sort.SliceStable(events, func(i, j int) bool {
+		if events[i].At != events[j].At {
+			return events[i].At < events[j].At
+		}
+		return events[i].User < events[j].User
+	})
+	var sb strings.Builder
+	for _, e := range events {
+		fmt.Fprintf(&sb, "%s %s %q %v\n", e.Type, e.User, e.RoomName, e.At)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "events.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.String(); got != string(want) {
+		t.Errorf("event stream drifted from golden file:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
 

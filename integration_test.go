@@ -84,6 +84,11 @@ type simCell struct {
 	ctrl   *hci.HCI
 }
 
+// reportFunc adapts a function to workstation.Reporter.
+type reportFunc func(deltas []wire.Presence) error
+
+func (f reportFunc) ReportBatch(deltas []wire.Presence) error { return f(deltas) }
+
 func newSimCell(t *testing.T, addr string, room graph.NodeID, seed int64, devices []baseband.BDAddr) *simCell {
 	t.Helper()
 	client := dial(t, addr)
@@ -98,8 +103,13 @@ func newSimCell(t *testing.T, addr string, room graph.NodeID, seed int64, device
 	med.Place(radio.Station{Addr: station, Pos: radio.Point{}})
 	ctrl := hci.New(k, hci.Config{Addr: station}, med)
 	t.Cleanup(ctrl.Close)
-	rep := workstation.ReporterFunc(func(p wire.Presence) error {
-		return client.Call(wire.MsgPresence, p, nil)
+	rep := reportFunc(func(deltas []wire.Presence) error {
+		for _, p := range deltas {
+			if err := client.Call(wire.MsgPresence, p, nil); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	ws, err := workstation.New(k, ctrl, workstation.Config{Room: room}, rep)
 	if err != nil {
@@ -265,7 +275,7 @@ func TestLossyRadioStillConverges(t *testing.T) {
 	med.Place(radio.Station{Addr: station, Pos: radio.Point{}})
 	ctrl := hci.New(k, hci.Config{Addr: station}, med)
 	defer ctrl.Close()
-	rep := workstation.ReporterFunc(func(wire.Presence) error { return nil })
+	rep := reportFunc(func([]wire.Presence) error { return nil })
 	ws, err := workstation.New(k, ctrl, workstation.Config{Room: 1}, rep)
 	if err != nil {
 		t.Fatal(err)

@@ -41,9 +41,10 @@ var budgets = map[string]float64{
 	// One ingest frame (64 deltas) through Pipeline.Apply: batch
 	// validation, mutation build, ApplyBatch, ack.
 	"ingest_apply": 8,
-	// One presence change pushed through locdb notify, the fan-out
-	// tree, the connection pusher (pooled pre-encoded frame), and
-	// received by a raw frame codec into a reused buffer.
+	// One presence change reported as a one-delta ingest frame (the
+	// in-process deployment's write path), pushed through locdb notify,
+	// the fan-out tree, the connection pusher (pooled pre-encoded
+	// frame), and received by a raw frame codec into a reused buffer.
 	"fanout_event_push": 8,
 	// One 64-event ApplyBatch frame through the staged fan-out tree's
 	// batch sink — counting-sort regroup from pooled scratch, per-shard
@@ -113,9 +114,7 @@ func dev(i int) baseband.BDAddr {
 
 func TestDispatchLocateBudget(t *testing.T) {
 	s := newHotServer(t, 2)
-	if err := s.ApplyPresence(wire.Presence{Device: dev(1).String(), Room: 6, At: 1, Present: true}); err != nil {
-		t.Fatal(err)
-	}
+	s.DB().ApplyBatch([]locdb.Mutation{{Op: locdb.MutPresence, Dev: dev(1), Piconet: 6, At: 1}})
 	env, err := wire.MarshalBody(wire.MsgLocate, 1, wire.Locate{Querier: "w0", Target: "w1"})
 	if err != nil {
 		t.Fatal(err)
@@ -131,9 +130,7 @@ func TestDispatchLocateBudget(t *testing.T) {
 
 func TestServeConnRoundTripBudget(t *testing.T) {
 	s := newHotServer(t, 2)
-	if err := s.ApplyPresence(wire.Presence{Device: dev(1).String(), Room: 6, At: 1, Present: true}); err != nil {
-		t.Fatal(err)
-	}
+	s.DB().ApplyBatch([]locdb.Mutation{{Op: locdb.MutPresence, Dev: dev(1), Piconet: 6, At: 1}})
 	cliConn, srvConn := net.Pipe()
 	go s.ServeConn(srvConn)
 	client := wire.NewClient(wire.NewFrameCodec(cliConn))
@@ -204,9 +201,7 @@ func TestIngestApplyBudget(t *testing.T) {
 
 func TestFanoutEventPushBudget(t *testing.T) {
 	s := newHotServer(t, 2)
-	if err := s.ApplyPresence(wire.Presence{Device: dev(1).String(), Room: 6, At: 1, Present: true}); err != nil {
-		t.Fatal(err)
-	}
+	s.DB().ApplyBatch([]locdb.Mutation{{Op: locdb.MutPresence, Dev: dev(1), Piconet: 6, At: 1}})
 	cliConn, srvConn := net.Pipe()
 	go s.ServeConn(srvConn)
 	codec := wire.NewFrameCodec(cliConn)
@@ -228,15 +223,23 @@ func TestFanoutEventPushBudget(t *testing.T) {
 		t.Fatalf("subscribe ack = %+v, %v", ack, err)
 	}
 
+	// Deltas arrive the way the in-process deployment reports them: a
+	// one-delta frame on a workstation's ingest session.
+	pl := s.Ingest()
+	if _, err := pl.Hello(wire.IngestHello{Session: "ws", Station: "S", Room: 6}); err != nil {
+		t.Fatal(err)
+	}
+	frame := []wire.Presence{{Device: dev(1).String(), Room: 6}}
+	seq := uint64(0)
 	tick := sim.Tick(1)
 	present := false
 	check(t, "fanout_event_push", 200, func() {
+		seq++
 		tick++
 		// Alternate leave/enter: exactly one event per mutation.
-		if err := s.ApplyPresence(wire.Presence{
-			Device: dev(1).String(), Room: 6, At: tick, Present: present,
-		}); err != nil {
-			t.Fatal(err)
+		frame[0].At, frame[0].Present = tick, present
+		if ack, err := pl.Apply(wire.PresenceBatch{Session: "ws", Seq: seq, Deltas: frame}); err != nil || ack.Applied != 1 {
+			t.Fatalf("report: ack %+v, %v", ack, err)
 		}
 		present = !present
 		var env wire.Envelope
@@ -302,9 +305,11 @@ func TestSnapshotBudgets(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	for i := 0; i < 512; i++ {
-		db.SetPresence(dev(i), graph.NodeID(i%8), 1)
+	muts := make([]locdb.Mutation, 512)
+	for i := range muts {
+		muts[i] = locdb.Mutation{Op: locdb.MutPresence, Dev: dev(i), Piconet: graph.NodeID(i % 8), At: 1}
 	}
+	db.ApplyBatch(muts)
 	if got := len(db.All()); got != 512 {
 		t.Fatalf("All returned %d fixes", got)
 	}

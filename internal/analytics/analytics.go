@@ -9,7 +9,7 @@
 // # Interval semantics
 //
 // The engine consumes the same presence-delta stream the fan-out tree
-// does (locdb.Store.Subscribe) and mirrors histdb's run semantics
+// does (locdb.Store.SubscribeSink) and mirrors histdb's run semantics
 // exactly: every presence report opens a run in the reported room, the
 // run closes when the device's next report arrives (or extends to the
 // query horizon for the newest one), ticks arriving out of order are
@@ -242,28 +242,12 @@ func (e *Engine) loadSegments() error {
 	return nil
 }
 
-// Apply consumes one presence change. It is the locdb subscription
-// callback: wire it with store.Subscribe(engine.Apply) — or, batch-
-// aware, store.SubscribeSink(engine) — and then Seed the engine from
-// the store's dump before traffic flows.
-func (e *Engine) Apply(ev locdb.Event) {
-	e.events.Add(1)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.applyLocked(ev)
-}
-
-// OnEvent implements locdb.Sink: one delta from the single-mutation
-// paths.
-func (e *Engine) OnEvent(ev locdb.Event) { e.Apply(ev) }
-
 // OnEvents implements locdb.Sink: a whole ApplyBatch frame ingested
 // under one lock acquisition instead of one per delta, so the hot
-// tier's cost on the batched write path is per frame, not per event.
+// tier's cost on the write path is per frame, not per event. Wire it
+// with store.SubscribeSink(engine), then Seed the engine from the
+// store's dump before traffic flows.
 func (e *Engine) OnEvents(evs []locdb.Event) {
-	if len(evs) == 0 {
-		return
-	}
 	e.events.Add(int64(len(evs)))
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -399,7 +383,7 @@ func (e *Engine) roomRef(room graph.NodeID, dev baseband.BDAddr, d int) {
 // Seed primes the engine from a locdb dump (locdb.Store.Dump): the
 // live view from the current fixes, the hot tier from the recorded
 // histories, minus the prefix the sealed segments already hold (the
-// per-device watermark). Call it once, after Subscribe and before
+// per-device watermark). Call it once, after SubscribeSink and before
 // traffic flows, exactly like fanout.Tree.Seed; devices the engine
 // already knows are left untouched.
 func (e *Engine) Seed(dumps []locdb.DeviceDump) {

@@ -27,20 +27,33 @@ func memEngine(t *testing.T, limit int) (*Engine, *locdb.DB) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.Close() })
-	db.Subscribe(e.Apply)
+	db.SubscribeSink(e)
 	e.Seed(db.Dump())
 	return e, db
 }
+
+// present and absent apply one delta as a one-mutation frame through
+// ApplyBatch, the store's only write path.
+func present(db locdb.Store, dev baseband.BDAddr, room graph.NodeID, at sim.Tick) {
+	db.ApplyBatch([]locdb.Mutation{{Op: locdb.MutPresence, Dev: dev, Piconet: room, At: at}})
+}
+
+func absent(db locdb.Store, dev baseband.BDAddr, room graph.NodeID, at sim.Tick) {
+	db.ApplyBatch([]locdb.Mutation{{Op: locdb.MutAbsence, Dev: dev, Piconet: room, At: at}})
+}
+
+// apply feeds the engine one event as a one-event frame.
+func apply(e *Engine, ev locdb.Event) { e.OnEvents([]locdb.Event{ev}) }
 
 func TestContactsBasic(t *testing.T) {
 	e, db := memEngine(t, 32)
 	// dev1 in room 3 over [100, 300), dev2 overlaps [150, 300) there,
 	// dev3 is in room 4 the whole time.
-	db.SetPresence(1, 3, 100)
-	db.SetPresence(2, 3, 150)
-	db.SetPresence(3, 4, 100)
-	db.SetPresence(1, 5, 300)
-	db.SetPresence(2, 5, 320)
+	present(db, 1, 3, 100)
+	present(db, 2, 3, 150)
+	present(db, 3, 4, 100)
+	present(db, 1, 5, 300)
+	present(db, 2, 5, 320)
 
 	got := e.Contacts(1, 0, 400, 0)
 	if len(got) != 1 {
@@ -75,9 +88,9 @@ func TestContactsBasic(t *testing.T) {
 
 func TestOccupancySeries(t *testing.T) {
 	e, db := memEngine(t, 32)
-	db.SetPresence(1, 3, 0)
-	db.SetPresence(2, 3, 100)
-	db.SetPresence(1, 4, 150) // dev1 leaves room 3 at 150
+	present(db, 1, 3, 0)
+	present(db, 2, 3, 100)
+	present(db, 1, 4, 150) // dev1 leaves room 3 at 150
 	pts := e.Occupancy([]graph.NodeID{3}, 0, 200, 50)
 	want := []int{1, 1, 2, 1} // [0,50) dev1; [50,100) dev1; [100,150) both; [150,200) dev2
 	if len(pts) != len(want) {
@@ -104,10 +117,10 @@ func TestOccupancySeries(t *testing.T) {
 
 func TestDwellSummaries(t *testing.T) {
 	e, db := memEngine(t, 32)
-	db.SetPresence(1, 3, 0)
-	db.SetPresence(1, 4, 100) // dwell 100 in room 3
-	db.SetPresence(2, 3, 50)
-	db.SetPresence(2, 4, 250) // dwell 200 in room 3
+	present(db, 1, 3, 0)
+	present(db, 1, 4, 100) // dwell 100 in room 3
+	present(db, 2, 3, 50)
+	present(db, 2, 4, 250) // dwell 200 in room 3
 	room := e.DwellRoom(3, 0, 1000)
 	if room.Samples != 2 || room.Min != 100 || room.Max != 200 || room.Mean != 150 {
 		t.Fatalf("room dwell = %+v, want samples 2, min 100, max 200, mean 150", room)
@@ -124,9 +137,9 @@ func TestDwellSummaries(t *testing.T) {
 
 func TestOutOfOrderTicksClampLikeHistdb(t *testing.T) {
 	e, db := memEngine(t, 32)
-	db.SetPresence(1, 3, 100)
-	db.SetPresence(1, 4, 50) // out of order: clamps to 100
-	db.SetPresence(1, 5, 200)
+	present(db, 1, 3, 100)
+	present(db, 1, 4, 50) // out of order: clamps to 100
+	present(db, 1, 5, 200)
 	// Run structure must be room3 [100,100) zero, room4 [100,200), room5 open.
 	d := e.DwellDevice(1, 0, 300)
 	if d.Samples != 2 || d.Min != 100 || d.Max != 100 {
@@ -149,12 +162,12 @@ func TestDropErasesHotKeepsSealed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Subscribe(e.Apply)
+	db.SubscribeSink(e)
 
-	db.SetPresence(1, 3, 100)
-	db.SetPresence(2, 3, 100)
-	db.SetPresence(1, 4, 200)
-	db.SetPresence(2, 4, 200)
+	present(db, 1, 3, 100)
+	present(db, 2, 3, 100)
+	present(db, 1, 4, 200)
+	present(db, 2, 4, 200)
 	if err := e.Seal(); err != nil { // room 3 runs sealed
 		t.Fatal(err)
 	}
@@ -201,8 +214,8 @@ func TestSealedAnswersMatchUnsealed(t *testing.T) {
 			},
 			Present: true,
 		}
-		sealed.Apply(ev)
-		plain.Apply(ev)
+		apply(sealed, ev)
+		apply(plain, ev)
 		if i%257 == 0 {
 			if err := sealed.Seal(); err != nil {
 				t.Fatal(err)
@@ -261,20 +274,20 @@ func TestCrashRecoveryIdenticalAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cancel := db.Subscribe(e1.Apply)
+	cancel := db.SubscribeSink(e1)
 	tick := sim.Tick(0)
 	for i := 0; i < 3000; i++ {
 		tick += sim.Tick(rng.Intn(4))
 		dev := baseband.BDAddr(1 + rng.Intn(20))
 		switch rng.Intn(10) {
 		case 8:
-			db.SetAbsence(dev, graph.NodeID(1+rng.Intn(8)), tick)
+			absent(db, dev, graph.NodeID(1+rng.Intn(8)), tick)
 		case 9:
 			if rng.Intn(4) == 0 {
 				db.Drop(dev)
 			}
 		default:
-			db.SetPresence(dev, graph.NodeID(1+rng.Intn(8)), tick)
+			present(db, dev, graph.NodeID(1+rng.Intn(8)), tick)
 		}
 		if i == 1000 || i == 2000 {
 			if err := e1.Seal(); err != nil {
@@ -310,16 +323,16 @@ func TestCrashRecoveryIdenticalAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	db.Subscribe(e2.Apply)
+	db.SubscribeSink(e2)
 	e2.Seed(db.Dump())
 	checkJSONEqual(t, "post-crash answers", capture(e2), before)
 
 	// And the recovered engine keeps working: new traffic lands. Rooms
 	// 100/101 are untouched by the random phase, so no open-ended run of
 	// an older device reaches into this window.
-	db.SetPresence(99, 100, tick+100)
-	db.SetPresence(98, 100, tick+150)
-	db.SetPresence(99, 101, tick+200)
+	present(db, 99, 100, tick+100)
+	present(db, 98, 100, tick+150)
+	present(db, 99, 101, tick+200)
 	if got := e2.Contacts(99, tick+100, tick+300, 0); len(got) != 1 || got[0].Device != 98 {
 		t.Fatalf("post-recovery ingest: contacts = %+v", got)
 	}
@@ -331,8 +344,8 @@ func TestCorruptAndStraySegmentFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Apply(locdb.Event{Fix: locdb.Fix{Device: 1, Piconet: 3, At: 10}, Present: true})
-	e.Apply(locdb.Event{Fix: locdb.Fix{Device: 1, Piconet: 4, At: 20}, Present: true})
+	apply(e, locdb.Event{Fix: locdb.Fix{Device: 1, Piconet: 3, At: 10}, Present: true})
+	apply(e, locdb.Event{Fix: locdb.Fix{Device: 1, Piconet: 4, At: 20}, Present: true})
 	if err := e.Seal(); err != nil {
 		t.Fatal(err)
 	}
@@ -377,8 +390,8 @@ func TestRetentionExpiresOldSegments(t *testing.T) {
 	}
 	defer e.Close()
 	// Old era: runs ending by tick 50.
-	e.Apply(locdb.Event{Fix: locdb.Fix{Device: 1, Piconet: 3, At: 10}, Present: true})
-	e.Apply(locdb.Event{Fix: locdb.Fix{Device: 1, Piconet: 4, At: 50}, Present: true})
+	apply(e, locdb.Event{Fix: locdb.Fix{Device: 1, Piconet: 3, At: 10}, Present: true})
+	apply(e, locdb.Event{Fix: locdb.Fix{Device: 1, Piconet: 4, At: 50}, Present: true})
 	if err := e.Seal(); err != nil {
 		t.Fatal(err)
 	}
@@ -386,8 +399,8 @@ func TestRetentionExpiresOldSegments(t *testing.T) {
 		t.Fatalf("segments = %d, want 1", n)
 	}
 	// New era far past the retention window.
-	e.Apply(locdb.Event{Fix: locdb.Fix{Device: 1, Piconet: 5, At: 500}, Present: true})
-	e.Apply(locdb.Event{Fix: locdb.Fix{Device: 1, Piconet: 6, At: 600}, Present: true})
+	apply(e, locdb.Event{Fix: locdb.Fix{Device: 1, Piconet: 5, At: 500}, Present: true})
+	apply(e, locdb.Event{Fix: locdb.Fix{Device: 1, Piconet: 6, At: 600}, Present: true})
 	if err := e.Seal(); err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +423,7 @@ func TestBackgroundSealer(t *testing.T) {
 	}
 	defer e.Close()
 	for i := 0; i < 30; i++ {
-		e.Apply(locdb.Event{
+		apply(e, locdb.Event{
 			Fix:     locdb.Fix{Device: 1, Piconet: graph.NodeID(1 + i%5), At: sim.Tick(i * 10)},
 			Present: true,
 		})
@@ -442,7 +455,7 @@ func TestContactTraceSmoke(t *testing.T) {
 		for d := 1; d <= devices; d++ {
 			// Device d walks a home zone of 4 rooms.
 			room := graph.NodeID(1 + (d+rng.Intn(4))%rooms)
-			e.Apply(locdb.Event{
+			apply(e, locdb.Event{
 				Fix:     locdb.Fix{Device: baseband.BDAddr(d), Piconet: room, At: sim.Tick(m * 100)},
 				Present: true,
 			})

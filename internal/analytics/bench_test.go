@@ -66,7 +66,7 @@ func benchEngine(b *testing.B) *Engine {
 				for m := 0; m < benchMovesPday; m++ {
 					room := graph.NodeID(1 + (zone[d]+rng.Intn(benchZone))%benchRooms)
 					at := base + sim.Tick(m*benchDayTicks/benchMovesPday+rng.Intn(1000))
-					e.Apply(locdb.Event{
+					apply(e, locdb.Event{
 						Fix:     locdb.Fix{Device: baseband.BDAddr(d), Piconet: room, At: at},
 						Present: true,
 					})

@@ -220,8 +220,8 @@ func TestParityWithPerDeviceLogs(t *testing.T) {
 			t.Fatal(err)
 		}
 		tree := fanout.New()
-		db.Subscribe(e.Apply)
-		db.Subscribe(tree.Publish)
+		db.SubscribeSink(e)
+		db.SubscribeSink(tree)
 		e.Seed(db.Dump())
 		tree.Seed(db.All())
 
@@ -236,14 +236,14 @@ func TestParityWithPerDeviceLogs(t *testing.T) {
 			switch rng.Intn(20) {
 			case 18: // absence from the current room (when present)
 				if fix, err := db.Locate(dev); err == nil {
-					db.SetAbsence(dev, fix.Piconet, at)
+					absent(db, dev, fix.Piconet, at)
 				}
 			case 19:
 				if rng.Intn(3) == 0 {
 					db.Drop(dev)
 				}
 			default:
-				db.SetPresence(dev, graph.NodeID(1+rng.Intn(rooms)), at)
+				present(db, dev, graph.NodeID(1+rng.Intn(rooms)), at)
 			}
 			if i%500 == 0 {
 				for r := graph.NodeID(0); r <= rooms+1; r++ {

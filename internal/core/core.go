@@ -26,6 +26,7 @@ import (
 	"bips/internal/device"
 	"bips/internal/graph"
 	"bips/internal/hci"
+	"bips/internal/ingest"
 	"bips/internal/inquiry"
 	"bips/internal/locdb"
 	"bips/internal/mobility"
@@ -203,27 +204,47 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	s.Server = server.New(registry.New(), db, bld, serverOpts...)
 
 	for _, room := range bld.Rooms() {
-		room := room
 		s.Medium.Place(radio.Station{
 			Addr:   room.Station,
 			Pos:    room.Center,
 			Radius: cfg.CoverageRadius,
 		})
 		ctrl := hci.New(s.Kernel, hci.Config{Addr: room.Station}, s.Medium)
-		rep := workstation.ReporterFunc(func(p wire.Presence) error {
-			return s.Server.ApplyPresence(p)
-		})
-		ws, err := workstation.New(s.Kernel, ctrl, workstation.Config{
-			Room:  room.ID,
-			Cycle: cfg.Cycle,
-		}, rep)
+		// One ingest session per workstation; BatchMax stays 0, so each
+		// delta is its own frame, applied at the instant it was observed.
+		rep := &sessionReporter{pl: s.Server.Ingest(), session: fmt.Sprintf("room-%d", room.ID)}
+		_, err := rep.pl.Hello(wire.IngestHello{Session: rep.session, Station: room.Name, Room: room.ID})
+		var ws *workstation.Workstation
+		if err == nil {
+			ws, err = workstation.New(s.Kernel, ctrl, workstation.Config{Room: room.ID, Cycle: cfg.Cycle}, rep)
+		}
 		if err != nil {
+			s.Close()
 			return nil, fmt.Errorf("room %d: %w", room.ID, err)
 		}
 		s.controllers[room.ID] = ctrl
 		s.workstations[room.ID] = ws
 	}
 	return s, nil
+}
+
+// sessionReporter reports one workstation's frames on its own session
+// of the server's ingest pipeline, so the in-process deployment writes
+// through Pipeline.Apply and ApplyBatch exactly like a station
+// streaming presence.batch over the LAN.
+type sessionReporter struct {
+	pl      *ingest.Pipeline
+	session string
+	acked   uint64
+}
+
+// ReportBatch applies deltas as the session's next frame.
+func (r *sessionReporter) ReportBatch(deltas []wire.Presence) error {
+	ack, err := r.pl.Apply(wire.PresenceBatch{Session: r.session, Seq: r.acked + 1, Deltas: deltas})
+	if err == nil {
+		r.acked = ack.Acked
+	}
+	return err
 }
 
 // Workstation returns the workstation covering the room.
@@ -386,14 +407,19 @@ func (s *System) DwellOf(querier, target registry.UserID, from, to sim.Tick) (wi
 	})
 }
 
-// Close releases the location backend: for a durable store it flushes
-// the WAL and writes the final checkpoint, so a subsequent deployment
-// over the same data directory recovers this one's state. Stop the
-// workstations first; Close does not stop the simulation.
+// Close releases the server (with its own analytics engine's sealer),
+// the location backend — for a durable store it flushes the WAL and
+// writes the final checkpoint, so a subsequent deployment over the same
+// data directory recovers this one's state — and a system-owned engine.
+// Queries still answer from memory. Stop the workstations first; Close
+// does not stop the simulation.
 func (s *System) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := s.store.Close()
+	err := s.Server.Close()
+	if serr := s.store.Close(); serr != nil && err == nil {
+		err = serr
+	}
 	if s.analytics != nil {
 		if aerr := s.analytics.Close(); aerr != nil && err == nil {
 			err = aerr

@@ -59,7 +59,8 @@ func benchEvents(evs []locdb.Event, devs, rooms, round int) {
 //   - staged: matching and enqueue only; callbacks run on the delivery
 //     goroutine, off the measured path (Flush outside the loop bounds
 //     the backlog drain).
-//   - single: one Publish per event (the un-batched contract).
+//   - single: one one-event PublishBatch per event (the un-batched
+//     report's shape).
 //   - batch64: one PublishBatch per 64-event frame (the ApplyBatch
 //     sink contract): one shard lock and one scratch regroup per frame.
 func BenchmarkFanoutPublishBatch(b *testing.B) {
@@ -88,8 +89,8 @@ func BenchmarkFanoutPublishBatch(b *testing.B) {
 					for n := 0; n < b.N; n += benchFrame {
 						benchEvents(evs, devs, rooms, round)
 						round++
-						for _, ev := range evs {
-							tree.Publish(ev)
+						for i := range evs {
+							tree.PublishBatch(evs[i : i+1])
 						}
 					}
 				} else {

@@ -7,13 +7,12 @@
 // A Tree holds every live subscription — per-device, per-room, geofence
 // zone, occupancy threshold, or catch-all — in per-key indexes
 // (device→subscribers, room→subscribers, threshold watchers). The
-// location database's delta stream is fed in through Publish (one
-// delta) or PublishBatch (one whole ingest frame); each delta is
-// routed through the indexes so the cost of a presence change scales
-// with the number of *matching* subscribers, not the total number
-// registered. A hundred thousand idle subscriptions on untouched rooms
-// and devices cost a delta nothing but the index lookups that miss
-// them.
+// location database's delta stream is fed in through PublishBatch, one
+// ApplyBatch frame at a time; each delta is routed through the indexes
+// so the cost of a presence change scales with the number of *matching*
+// subscribers, not the total number registered. A hundred thousand idle
+// subscriptions on untouched rooms and devices cost a delta nothing but
+// the index lookups that miss them.
 //
 // The tree keeps its own device→room map, fed by the same deltas (and
 // seeded from a restored backend via Seed), so it can derive the
@@ -59,7 +58,7 @@
 //
 // # Delivery contract
 //
-// Once Subscribe returns, every later Publish that matches is
+// Once Subscribe returns, every later published delta that matches is
 // delivered to the callback, and after Cancel returns no further
 // callback runs — the guarantee connection teardown and the race
 // tests lean on. Events of one device are delivered in publish order,
@@ -201,7 +200,7 @@ func (s *Subscription) Cancel() {
 type Stats struct {
 	// Subscriptions is the current number of live subscriptions.
 	Subscriptions int
-	// Published counts deltas fed through Publish/PublishBatch.
+	// Published counts deltas fed through PublishBatch.
 	Published int64
 	// Delivered counts callback invocations (events matched and
 	// handed to subscribers).
@@ -227,10 +226,10 @@ type treeShard struct {
 	ids     []uint64
 }
 
-// roomShard is one partition of the room subscription index. Publish
-// only ever takes a room shard lock briefly, inside a device shard's
-// critical section, to collect matches (lock order: device shard →
-// room shard).
+// roomShard is one partition of the room subscription index.
+// Publishing only ever takes a room shard lock briefly, inside a device
+// shard's critical section, to collect matches (lock order: device
+// shard → room shard).
 type roomShard struct {
 	mu     sync.Mutex
 	byRoom map[graph.NodeID]map[uint64]*sub
@@ -502,16 +501,16 @@ func (t *Tree) Occupancy(room graph.NodeID) int {
 	return t.occ.occupancy[room]
 }
 
-// OnEvent implements locdb.Sink: one delta from the single-mutation
-// paths.
-func (t *Tree) OnEvent(ev locdb.Event) { t.Publish(ev) }
-
 // OnEvents implements locdb.Sink: one whole ApplyBatch frame.
 func (t *Tree) OnEvents(evs []locdb.Event) { t.PublishBatch(evs) }
 
-// Publish routes one location-database delta through the indexes. It
-// may be called concurrently from many connection handlers; only
-// writers touching devices of the same tree shard serialize.
+// PublishBatch routes one frame of location-database deltas through
+// the indexes. It may be called concurrently from many connection
+// handlers; only writers touching devices of the same tree shard
+// serialize. The frame is regrouped by tree shard with a pooled
+// counting sort (stable, so per-device order follows the frame order),
+// then each touched shard is locked once and its run of deltas routed
+// inside that one critical section. The slice is not retained.
 //
 // A presence delta whose device was already elsewhere is expanded into
 // the implied leave of the old room followed by the enter of the new
@@ -520,24 +519,8 @@ func (t *Tree) OnEvents(evs []locdb.Event) { t.PublishBatch(evs) }
 // disagree with the tree's own device view (possible when two writers
 // race on one device and their post-commit notifications arrive out of
 // order) are dropped rather than double-counted.
-func (t *Tree) Publish(ev locdb.Event) {
-	sh := t.shardOf(ev.Device)
-	sh.mu.Lock()
-	t.publishLocked(sh, ev)
-	sh.mu.Unlock()
-}
-
-// PublishBatch routes one whole mutation frame: the frame is regrouped
-// by tree shard with a pooled counting sort (stable, so per-device
-// order follows the frame order), then each touched shard is locked
-// once and its run of deltas routed inside that one critical section.
-// The slice is not retained.
 func (t *Tree) PublishBatch(evs []locdb.Event) {
-	switch len(evs) {
-	case 0:
-		return
-	case 1:
-		t.Publish(evs[0])
+	if len(evs) == 0 {
 		return
 	}
 	sc, _ := t.scratch.Get().(*publishScratch)

@@ -36,6 +36,10 @@ func absent(dev baseband.BDAddr, room graph.NodeID, at sim.Tick) locdb.Event {
 	return locdb.Event{Fix: locdb.Fix{Device: dev, Piconet: room, At: at}, Present: false}
 }
 
+// publish feeds one event to the tree as a one-event frame, the shape
+// an unbatched report or a logout's drop takes.
+func publish(tree *Tree, ev locdb.Event) { tree.PublishBatch([]locdb.Event{ev}) }
+
 func kinds(events []Event) []EventKind {
 	out := make([]EventKind, len(events))
 	for i, e := range events {
@@ -61,9 +65,9 @@ func TestAllFilterSeesHandoverAsLeaveThenEnter(t *testing.T) {
 	var c collector
 	tree.Subscribe(Filter{Kind: KindAll}, c.deliver)
 
-	tree.Publish(present(1, 10, 100))
-	tree.Publish(present(1, 11, 200)) // handover 10 -> 11
-	tree.Publish(absent(1, 11, 300))
+	publish(tree, present(1, 10, 100))
+	publish(tree, present(1, 11, 200)) // handover 10 -> 11
+	publish(tree, absent(1, 11, 300))
 
 	got := c.snapshot()
 	wantKinds(t, got, Enter, Leave, Enter, Leave)
@@ -79,8 +83,8 @@ func TestDuplicatePresenceEmitsNothing(t *testing.T) {
 	tree := New()
 	var c collector
 	tree.Subscribe(Filter{Kind: KindAll}, c.deliver)
-	tree.Publish(present(1, 10, 100))
-	tree.Publish(present(1, 10, 150))
+	publish(tree, present(1, 10, 100))
+	publish(tree, present(1, 10, 150))
 	wantKinds(t, c.snapshot(), Enter)
 }
 
@@ -88,11 +92,11 @@ func TestStaleAbsenceIgnored(t *testing.T) {
 	tree := New()
 	var c collector
 	tree.Subscribe(Filter{Kind: KindAll}, c.deliver)
-	tree.Publish(present(1, 10, 100))
-	tree.Publish(present(1, 11, 200))
+	publish(tree, present(1, 10, 100))
+	publish(tree, present(1, 11, 200))
 	// The old cell's absence arrives after the handover already moved
 	// the device: it must not erase the newer fix.
-	tree.Publish(absent(1, 10, 210))
+	publish(tree, absent(1, 10, 210))
 	wantKinds(t, c.snapshot(), Enter, Leave, Enter)
 	if tree.Occupancy(11) != 1 {
 		t.Fatalf("occupancy(11) = %d, want 1", tree.Occupancy(11))
@@ -103,10 +107,10 @@ func TestDeviceFilterMatchesOnlyItsDevice(t *testing.T) {
 	tree := New()
 	var c collector
 	tree.Subscribe(Filter{Kind: KindDevice, Device: 7}, c.deliver)
-	tree.Publish(present(1, 10, 100))
-	tree.Publish(present(7, 10, 110))
-	tree.Publish(absent(7, 10, 120))
-	tree.Publish(absent(1, 10, 130))
+	publish(tree, present(1, 10, 100))
+	publish(tree, present(7, 10, 110))
+	publish(tree, absent(7, 10, 120))
+	publish(tree, absent(1, 10, 130))
 	got := c.snapshot()
 	wantKinds(t, got, Enter, Leave)
 	for _, e := range got {
@@ -120,9 +124,9 @@ func TestRoomFilterMatchesOnlyItsRoom(t *testing.T) {
 	tree := New()
 	var c collector
 	tree.Subscribe(Filter{Kind: KindRoom, Room: 10}, c.deliver)
-	tree.Publish(present(1, 10, 100))
-	tree.Publish(present(1, 11, 200)) // leave 10 matches, enter 11 does not
-	tree.Publish(absent(1, 11, 300))
+	publish(tree, present(1, 10, 100))
+	publish(tree, present(1, 11, 200)) // leave 10 matches, enter 11 does not
+	publish(tree, absent(1, 11, 300))
 	got := c.snapshot()
 	wantKinds(t, got, Enter, Leave)
 	for _, e := range got {
@@ -137,12 +141,12 @@ func TestZoneCrossings(t *testing.T) {
 	var c collector
 	tree.Subscribe(Filter{Kind: KindZone, Device: 1, Zone: []graph.NodeID{10, 11}}, c.deliver)
 
-	tree.Publish(present(1, 9, 50))   // outside: nothing
-	tree.Publish(present(1, 10, 100)) // crossed in
-	tree.Publish(present(1, 11, 200)) // intra-zone handover: nothing
-	tree.Publish(present(1, 12, 300)) // crossed out
-	tree.Publish(present(1, 10, 400)) // back in
-	tree.Publish(absent(1, 10, 500))  // vanished: out
+	publish(tree, present(1, 9, 50))   // outside: nothing
+	publish(tree, present(1, 10, 100)) // crossed in
+	publish(tree, present(1, 11, 200)) // intra-zone handover: nothing
+	publish(tree, present(1, 12, 300)) // crossed out
+	publish(tree, present(1, 10, 400)) // back in
+	publish(tree, absent(1, 10, 500))  // vanished: out
 
 	got := c.snapshot()
 	wantKinds(t, got, ZoneEnter, ZoneExit, ZoneEnter, ZoneExit)
@@ -156,12 +160,12 @@ func TestZoneCrossings(t *testing.T) {
 
 func TestZoneSubscribeInsideFiresOnlyOnExit(t *testing.T) {
 	tree := New()
-	tree.Publish(present(1, 10, 50))
+	publish(tree, present(1, 10, 50))
 	var c collector
 	// The device is already inside: registration must not fire a
 	// spurious zone-enter; the first crossing is the exit.
 	tree.Subscribe(Filter{Kind: KindZone, Device: 1, Zone: []graph.NodeID{10}}, c.deliver)
-	tree.Publish(present(1, 11, 100))
+	publish(tree, present(1, 11, 100))
 	wantKinds(t, c.snapshot(), ZoneExit)
 }
 
@@ -170,12 +174,12 @@ func TestOccupancyCrossings(t *testing.T) {
 	var c collector
 	tree.Subscribe(Filter{Kind: KindOccupancy, Room: 10, Threshold: 2}, c.deliver)
 
-	tree.Publish(present(1, 10, 100)) // count 1: below
-	tree.Publish(present(2, 10, 200)) // count 2: rise
-	tree.Publish(present(3, 10, 300)) // count 3: no edge
-	tree.Publish(absent(2, 10, 400))  // count 2: no edge (still >= 2)
-	tree.Publish(absent(3, 10, 500))  // count 1: fall
-	tree.Publish(present(4, 10, 600)) // count 2: rise again
+	publish(tree, present(1, 10, 100)) // count 1: below
+	publish(tree, present(2, 10, 200)) // count 2: rise
+	publish(tree, present(3, 10, 300)) // count 3: no edge
+	publish(tree, absent(2, 10, 400))  // count 2: no edge (still >= 2)
+	publish(tree, absent(3, 10, 500))  // count 1: fall
+	publish(tree, present(4, 10, 600)) // count 2: rise again
 
 	got := c.snapshot()
 	wantKinds(t, got, OccupancyRise, OccupancyFall, OccupancyRise)
@@ -190,13 +194,13 @@ func TestOccupancyCrossings(t *testing.T) {
 
 func TestOccupancySubscribeAboveFiresOnlyOnFall(t *testing.T) {
 	tree := New()
-	tree.Publish(present(1, 10, 50))
-	tree.Publish(present(2, 10, 60))
+	publish(tree, present(1, 10, 50))
+	publish(tree, present(2, 10, 60))
 	var c collector
 	tree.Subscribe(Filter{Kind: KindOccupancy, Room: 10, Threshold: 2}, c.deliver)
-	tree.Publish(present(3, 10, 100)) // 3: already above, no edge
-	tree.Publish(absent(3, 10, 200))  // 2: still above
-	tree.Publish(absent(2, 10, 300))  // 1: fall
+	publish(tree, present(3, 10, 100)) // 3: already above, no edge
+	publish(tree, absent(3, 10, 200))  // 2: still above
+	publish(tree, absent(2, 10, 300))  // 1: fall
 	wantKinds(t, c.snapshot(), OccupancyFall)
 }
 
@@ -205,8 +209,8 @@ func TestOccupancyTracksHandover(t *testing.T) {
 	var c10, c11 collector
 	tree.Subscribe(Filter{Kind: KindOccupancy, Room: 10, Threshold: 1}, c10.deliver)
 	tree.Subscribe(Filter{Kind: KindOccupancy, Room: 11, Threshold: 1}, c11.deliver)
-	tree.Publish(present(1, 10, 100))
-	tree.Publish(present(1, 11, 200)) // handover moves the occupant
+	publish(tree, present(1, 10, 100))
+	publish(tree, present(1, 11, 200)) // handover moves the occupant
 	wantKinds(t, c10.snapshot(), OccupancyRise, OccupancyFall)
 	wantKinds(t, c11.snapshot(), OccupancyRise)
 	if tree.Occupancy(10) != 0 || tree.Occupancy(11) != 1 {
@@ -229,7 +233,7 @@ func TestSeedPrimesViewWithoutEvents(t *testing.T) {
 		t.Fatalf("seeded occupancy = %d, want 2", tree.Occupancy(10))
 	}
 	// A seeded device handing over emits the leave half correctly.
-	tree.Publish(present(1, 11, 100))
+	publish(tree, present(1, 11, 100))
 	wantKinds(t, c.snapshot(), Leave, Enter)
 }
 
@@ -237,10 +241,10 @@ func TestCancelStopsDeliveryAndIsIdempotent(t *testing.T) {
 	tree := New()
 	var c collector
 	sub := tree.Subscribe(Filter{Kind: KindAll}, c.deliver)
-	tree.Publish(present(1, 10, 100))
+	publish(tree, present(1, 10, 100))
 	sub.Cancel()
 	sub.Cancel()
-	tree.Publish(present(1, 11, 200))
+	publish(tree, present(1, 11, 200))
 	wantKinds(t, c.snapshot(), Enter)
 	if n := tree.Stats().Subscriptions; n != 0 {
 		t.Fatalf("subscriptions after cancel = %d, want 0", n)
@@ -252,7 +256,7 @@ func TestStatsCount(t *testing.T) {
 	var c collector
 	tree.Subscribe(Filter{Kind: KindAll}, c.deliver)
 	tree.Subscribe(Filter{Kind: KindRoom, Room: 10}, c.deliver)
-	tree.Publish(present(1, 10, 100))
+	publish(tree, present(1, 10, 100))
 	st := tree.Stats()
 	if st.Subscriptions != 2 {
 		t.Fatalf("Subscriptions = %d, want 2", st.Subscriptions)
@@ -277,7 +281,7 @@ func TestDeliveryOrderFollowsRegistration(t *testing.T) {
 			mu.Unlock()
 		})
 	}
-	tree.Publish(present(1, 10, 100))
+	publish(tree, present(1, 10, 100))
 	mu.Lock()
 	defer mu.Unlock()
 	for i, got := range order {

@@ -46,7 +46,7 @@ func TestChurnUnderConcurrentIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := New()
-	db.Subscribe(tree.Publish)
+	db.SubscribeSink(tree)
 
 	// Stable subscribers, registered before any traffic: one per-device
 	// log plus a global all-filter log that must see the union.

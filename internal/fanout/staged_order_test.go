@@ -156,7 +156,7 @@ func TestStagedCancelStopsDelivery(t *testing.T) {
 		mu.Unlock()
 	})
 
-	tree.Publish(present(1, 5, 1))
+	publish(tree, present(1, 5, 1))
 	tree.Flush()
 	mu.Lock()
 	n := len(got)
@@ -168,7 +168,7 @@ func TestStagedCancelStopsDelivery(t *testing.T) {
 	// Queue events and cancel before the delivery stage can possibly
 	// have drained them all; none may arrive after Cancel returns.
 	for i := 0; i < 1000; i++ {
-		tree.Publish(present(1, graph.NodeID(5+i%2), sim.Tick(2+i)))
+		publish(tree, present(1, graph.NodeID(5+i%2), sim.Tick(2+i)))
 	}
 	sub.Cancel()
 	mu.Lock()
@@ -198,7 +198,7 @@ func TestStagedCloseDrains(t *testing.T) {
 	for i := 0; i < events; i++ {
 		ev := present(baseband.BDAddr(1+i%8), graph.NodeID(1+i%7), sim.Tick(1+i))
 		ev.Present = i%2 == 0
-		tree.Publish(ev)
+		publish(tree, ev)
 	}
 	published := tree.Stats().Published
 	tree.Close()

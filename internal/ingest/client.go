@@ -108,8 +108,7 @@ type ClientStats struct {
 // Report/ReportBatch never touch the network: they buffer under a
 // mutex and return immediately, so a partition back-pressures into
 // memory instead of stalling the reporting workstation. A single sender
-// goroutine owns all I/O. Client implements workstation.Reporter and
-// workstation.BatchReporter.
+// goroutine owns all I/O. Client implements workstation.Reporter.
 type Client struct {
 	cfg ClientConfig
 
@@ -146,8 +145,8 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	return c, nil
 }
 
-// Report buffers one delta (workstation.Reporter). It never blocks on
-// the network and never fails while the client is open.
+// Report buffers one delta, cutting a frame when the buffer fills. It
+// never blocks on the network and never fails while the client is open.
 func (c *Client) Report(p wire.Presence) error {
 	c.mu.Lock()
 	if c.closed {
@@ -163,7 +162,7 @@ func (c *Client) Report(p wire.Presence) error {
 }
 
 // ReportBatch seals an externally assembled batch straight into
-// sequenced frames (workstation.BatchReporter). One call is one frame
+// sequenced frames (workstation.Reporter). One call is one frame
 // (or several, if the batch exceeds the frame size) — callers that cut
 // on deterministic boundaries get deterministic frames.
 func (c *Client) ReportBatch(deltas []wire.Presence) error {

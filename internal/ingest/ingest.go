@@ -16,6 +16,8 @@
 //     means frames 1..N are applied exactly once). A frame at or below
 //     the ack is a duplicate and is acknowledged without re-applying;
 //     re-sending after a reconnect is therefore always safe.
+//   - Frames of one connection apply in arrival order, so a frame past
+//     acked+1 is a sequence gap, answered at once.
 //   - On reconnect (or restart) the station re-sends the hello, learns
 //     the cumulative ack, drops everything already applied and resumes
 //     from the first unacked frame — no lost deltas, no duplicates.
@@ -25,9 +27,10 @@
 // (client side: the pure buffering/sequencing state machine), and
 // Client (client side: a reconnecting wall-clock stream with backoff,
 // used by cmd/bips-station). internal/workstation cuts deterministic
-// frames with its simulation-time flush policy and feeds any
-// BatchReporter, typically a Client. See docs/PROTOCOL.md section 8 for
-// the wire contract.
+// frames on simulation time for a workstation.Reporter: a Client, or a
+// Pipeline session in the in-process deployment (internal/core), so
+// every presence delta takes this one write path. See docs/PROTOCOL.md
+// section 8 for the wire contract.
 package ingest
 
 import (
@@ -37,24 +40,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bips/internal/graph"
 	"bips/internal/locdb"
 	"bips/internal/wire"
 )
 
 // Pipeline defaults.
 const (
-	// DefaultGapWindow is how many frames past the cumulative ack a
-	// pipelining station may run ahead: a frame within the window waits
-	// (briefly) for its predecessors; one beyond it is rejected
-	// outright. It matches the server's default per-connection pipeline
-	// depth so a well-behaved station can keep a full pipe.
-	DefaultGapWindow = 64
-	// DefaultGapWait bounds how long an out-of-order frame waits for
-	// its predecessors before the server answers a sequence-gap error.
-	// On one connection frames arrive in order, so the wait only
-	// resolves handler-scheduling races — it is never a steady state.
-	DefaultGapWait = 3 * time.Second
 	// DefaultMaxSessions bounds the session table (sessions are small
 	// but live until evicted).
 	DefaultMaxSessions = 65536
@@ -72,8 +63,8 @@ const (
 var (
 	// ErrUnknownSession reports a batch for a session no hello opened.
 	ErrUnknownSession = errors.New("ingest: unknown session (send ingest.hello first)")
-	// ErrSeqGap reports a frame too far past the cumulative ack, or one
-	// whose predecessors never arrived.
+	// ErrSeqGap reports a frame past the next one the session expects:
+	// its predecessors were never applied.
 	ErrSeqGap = errors.New("ingest: sequence gap")
 	// ErrSessionLimit reports an exhausted session table.
 	ErrSessionLimit = errors.New("ingest: too many sessions")
@@ -91,21 +82,6 @@ type Resolver func(p wire.Presence) (m locdb.Mutation, ok bool, err error)
 // Option configures a Pipeline.
 type Option func(*Pipeline)
 
-// WithGapWindow overrides DefaultGapWindow (values below 1 clamp to 1).
-func WithGapWindow(n uint64) Option {
-	return func(pl *Pipeline) {
-		if n < 1 {
-			n = 1
-		}
-		pl.gapWindow = n
-	}
-}
-
-// WithGapWait overrides DefaultGapWait.
-func WithGapWait(d time.Duration) Option {
-	return func(pl *Pipeline) { pl.gapWait = d }
-}
-
 // WithMaxSessions overrides DefaultMaxSessions.
 func WithMaxSessions(n int) Option {
 	return func(pl *Pipeline) { pl.maxSessions = n }
@@ -118,15 +94,10 @@ func WithIdleEvictAfter(d time.Duration) Option {
 }
 
 // session is one station's ingest state. Its lock serializes frame
-// application for the session (different sessions apply concurrently);
-// cond wakes frames parked in the reorder window.
+// application for the session (different sessions apply concurrently).
 type session struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	station string
-	room    graph.NodeID
-	acked   uint64
+	mu    sync.Mutex
+	acked uint64
 
 	frames     int64
 	deltas     int64
@@ -144,8 +115,6 @@ type Pipeline struct {
 	db      locdb.Store
 	resolve Resolver
 
-	gapWindow      uint64
-	gapWait        time.Duration
 	maxSessions    int
 	idleEvictAfter time.Duration
 
@@ -165,8 +134,6 @@ func NewPipeline(db locdb.Store, resolve Resolver, opts ...Option) *Pipeline {
 	pl := &Pipeline{
 		db:             db,
 		resolve:        resolve,
-		gapWindow:      DefaultGapWindow,
-		gapWait:        DefaultGapWait,
 		maxSessions:    DefaultMaxSessions,
 		idleEvictAfter: DefaultIdleEvictAfter,
 		sessions:       make(map[string]*session),
@@ -179,8 +146,7 @@ func NewPipeline(db locdb.Store, resolve Resolver, opts ...Option) *Pipeline {
 
 // Hello opens or resumes a session and returns its cumulative ack. The
 // caller has already validated the room against the building. Reopening
-// a known session keeps its progress (that is the resume contract) and
-// refreshes the station metadata.
+// a known session keeps its progress (that is the resume contract).
 func (pl *Pipeline) Hello(h wire.IngestHello) (wire.IngestAck, error) {
 	if h.Session == "" {
 		return wire.IngestAck{}, fmt.Errorf("%w: ingest.hello without session", wire.ErrMalformed)
@@ -193,15 +159,12 @@ func (pl *Pipeline) Hello(h wire.IngestHello) (wire.IngestAck, error) {
 			return wire.IngestAck{}, fmt.Errorf("%w (%d)", ErrSessionLimit, pl.maxSessions)
 		}
 		s = &session{}
-		s.cond = sync.NewCond(&s.mu)
 		pl.sessions[h.Session] = s
 	}
 	pl.mu.Unlock()
 
 	s.lastActive.Store(time.Now().UnixNano())
 	s.mu.Lock()
-	s.station = h.Station
-	s.room = h.Room
 	acked := s.acked
 	s.mu.Unlock()
 	if ok && acked > 0 {
@@ -218,10 +181,9 @@ func (pl *Pipeline) Hello(h wire.IngestHello) (wire.IngestAck, error) {
 //   - Seq <= acked: duplicate; acknowledged without re-applying.
 //   - Seq == acked+1: validated as a unit, then applied through the
 //     store's batch-mutation API (one lock acquisition per shard).
-//   - acked+1 < Seq <= acked+window: parked until its predecessors
-//     arrive (frames on one connection arrive in order, so this only
-//     absorbs handler-scheduling races), bounded by the gap wait.
-//   - beyond the window, or the wait expires: ErrSeqGap.
+//   - Seq > acked+1: ErrSeqGap at once. The serving layer applies one
+//     connection's frames in arrival order, so a gap is the station's
+//     error, never a scheduling race to wait out.
 func (pl *Pipeline) Apply(b wire.PresenceBatch) (wire.IngestAck, error) {
 	if err := b.Validate(); err != nil {
 		return wire.IngestAck{}, err
@@ -237,9 +199,10 @@ func (pl *Pipeline) Apply(b wire.PresenceBatch) (wire.IngestAck, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if b.Seq > s.acked+1 {
-		if err := pl.waitForPredecessors(s, b.Seq); err != nil {
-			return wire.IngestAck{}, err
-		}
+		pl.statsMu.Lock()
+		pl.gaps++
+		pl.statsMu.Unlock()
+		return wire.IngestAck{}, fmt.Errorf("%w: frame %d but session acked %d", ErrSeqGap, b.Seq, s.acked)
 	}
 	s.frames++
 	s.deltas += int64(len(b.Deltas))
@@ -269,43 +232,12 @@ func (pl *Pipeline) Apply(b wire.PresenceBatch) (wire.IngestAck, error) {
 	applied := pl.db.ApplyBatch(muts)
 	s.applied += int64(applied)
 	s.acked = b.Seq
-	s.cond.Broadcast()
 	if rejected > 0 {
 		pl.statsMu.Lock()
 		pl.rejects += int64(rejected)
 		pl.statsMu.Unlock()
 	}
 	return wire.IngestAck{Acked: s.acked, Applied: applied, Rejected: rejected}, nil
-}
-
-// waitForPredecessors parks a frame inside the reorder window until the
-// session's ack catches up to seq-1. Caller holds s.mu; returns with
-// s.mu held.
-func (pl *Pipeline) waitForPredecessors(s *session, seq uint64) error {
-	gap := func() error {
-		pl.statsMu.Lock()
-		pl.gaps++
-		pl.statsMu.Unlock()
-		return fmt.Errorf("%w: frame %d but session acked %d (window %d)",
-			ErrSeqGap, seq, s.acked, pl.gapWindow)
-	}
-	if seq > s.acked+pl.gapWindow {
-		return gap()
-	}
-	deadline := time.Now().Add(pl.gapWait)
-	wake := time.AfterFunc(pl.gapWait, func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer wake.Stop()
-	for seq > s.acked+1 {
-		if time.Now().After(deadline) {
-			return gap()
-		}
-		s.cond.Wait()
-	}
-	return nil
 }
 
 // evictIdleLocked frees one slot in a full session table by deleting

@@ -3,7 +3,6 @@ package ingest
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -88,7 +87,7 @@ func TestPipelineHelloApplyResume(t *testing.T) {
 }
 
 func TestPipelineErrors(t *testing.T) {
-	pl := NewPipeline(locdb.New(), testResolver, WithGapWait(20*time.Millisecond))
+	pl := NewPipeline(locdb.New(), testResolver)
 	if _, err := pl.Hello(wire.IngestHello{Session: "s"}); err != nil {
 		t.Fatal(err)
 	}
@@ -108,18 +107,11 @@ func TestPipelineErrors(t *testing.T) {
 			t.Errorf("%s: error = %v, want ErrMalformed", name, err)
 		}
 	}
-	// Far-future frame: immediate gap error.
-	if _, err := pl.Apply(frame("s", DefaultGapWindow+2, 1, 0)); !errors.Is(err, ErrSeqGap) {
-		t.Fatalf("far-future frame error = %v", err)
-	}
-	// Near-future frame whose predecessor never arrives: gap after the
-	// bounded wait, not a hang and not silence.
-	start := time.Now()
-	if _, err := pl.Apply(frame("s", 2, 1, 0)); !errors.Is(err, ErrSeqGap) {
-		t.Fatalf("orphan frame error = %v", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("gap wait did not respect the configured bound")
+	// Far-future and next-but-one frames: both gaps, answered at once.
+	for _, seq := range []uint64{66, 2} {
+		if _, err := pl.Apply(frame("s", seq, 1, 0)); !errors.Is(err, ErrSeqGap) {
+			t.Fatalf("frame %d on a fresh session: error = %v, want ErrSeqGap", seq, err)
+		}
 	}
 	if got := pl.Stats()["seq_gaps"]; got != 2 {
 		t.Fatalf("seq_gaps = %d, want 2", got)
@@ -132,38 +124,29 @@ func frameWithSeq(session string, seq uint64) wire.PresenceBatch {
 	return f
 }
 
-// TestPipelineReorderWindow: a frame arriving ahead of its predecessor
-// (handler-scheduling race) parks briefly and applies in order.
-func TestPipelineReorderWindow(t *testing.T) {
+// TestPipelineOutOfOrderFrameRejected: a frame arriving ahead of its
+// predecessor is not parked — it is a gap, answered at once, applies
+// nothing and leaves the ack alone — and the same frame applies once
+// its predecessor has.
+func TestPipelineOutOfOrderFrameRejected(t *testing.T) {
 	db := locdb.New()
-	pl := NewPipeline(db, testResolver, WithGapWait(2*time.Second))
+	pl := NewPipeline(db, testResolver)
 	if _, err := pl.Hello(wire.IngestHello{Session: "s"}); err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, 3)
-	acks := make([]wire.IngestAck, 3)
-	// Frame 3 and 2 start before frame 1; all must apply, in order.
-	for i := 3; i >= 1; i-- {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			acks[i-1], errs[i-1] = pl.Apply(frame("s", uint64(i), 2, i*10))
-		}()
-		time.Sleep(20 * time.Millisecond)
+	if _, err := pl.Apply(frame("s", 2, 2, 20)); !errors.Is(err, ErrSeqGap) {
+		t.Fatalf("frame 2 before frame 1: error = %v, want ErrSeqGap", err)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("frame %d: %v", i+1, err)
+	if acked, _ := pl.Acked("s"); acked != 0 || db.Present() != 0 {
+		t.Fatalf("rejected frame moved state: acked %d, present %d", acked, db.Present())
+	}
+	for seq := uint64(1); seq <= 2; seq++ {
+		if ack, err := pl.Apply(frame("s", seq, 2, int(seq)*10)); err != nil || ack.Acked != seq {
+			t.Fatalf("frame %d: ack=%+v err=%v", seq, ack, err)
 		}
 	}
-	if acks[2].Acked != 3 {
-		t.Fatalf("final ack = %+v, want acked 3", acks[2])
-	}
-	if db.Present() != 6 {
-		t.Fatalf("Present = %d, want 6", db.Present())
+	if db.Present() != 4 {
+		t.Fatalf("Present = %d, want 4", db.Present())
 	}
 }
 

@@ -43,9 +43,9 @@ type batchScratch struct {
 // whole batch appended inside those S critical sections, so the WAL
 // group-commits it as one coalesced write.
 //
-// Per-device ordering follows the batch order; the delta semantics of
-// SetPresence/SetAbsence apply per mutation (no-ops and stale absences
-// are skipped). Subscribers are notified after all shard locks are
+// Per-device ordering follows the batch order, and the delta semantics
+// apply per mutation (see applyLocked: no-ops and stale absences are
+// skipped). Subscribers are notified after all shard locks are
 // released, in per-shard application order — with concurrent writers on
 // other shards this interleaving is no weaker than the one they already
 // observe. It returns the number of mutations that changed state.
@@ -107,17 +107,7 @@ func (db *DB) ApplyBatch(muts []Mutation) int {
 		sh := db.shards[j]
 		sh.mu.Lock()
 		for _, m := range order[start:end] {
-			var (
-				ev      Event
-				changed bool
-			)
-			switch m.Op {
-			case MutPresence:
-				ev, changed = db.setPresenceLocked(sh, j, m.Dev, m.Piconet, m.At)
-			case MutAbsence:
-				ev, changed = db.setAbsenceLocked(sh, j, m.Dev, m.Piconet, m.At)
-			}
-			if changed {
+			if ev, changed := db.applyLocked(sh, j, m); changed {
 				applied++
 				events = append(events, ev)
 			}

@@ -32,19 +32,11 @@ func randomMutations(n int, devices int, rooms int, seed int64) []Mutation {
 	return muts
 }
 
+// applySequentially applies the mutations one frame each.
 func applySequentially(db *DB, muts []Mutation) int {
 	applied := 0
-	for _, m := range muts {
-		var changed bool
-		switch m.Op {
-		case MutPresence:
-			changed = db.SetPresence(m.Dev, m.Piconet, m.At)
-		case MutAbsence:
-			changed = db.SetAbsence(m.Dev, m.Piconet, m.At)
-		}
-		if changed {
-			applied++
-		}
+	for i := range muts {
+		applied += db.ApplyBatch(muts[i : i+1])
 	}
 	return applied
 }
@@ -150,12 +142,12 @@ func TestApplyBatchEvents(t *testing.T) {
 	db := New()
 	var mu sync.Mutex
 	var events []Event
-	cancel := db.Subscribe(func(ev Event) {
+	cancel := db.SubscribeSink(eachEvent(func(ev Event) {
 		db.Present() // must not deadlock: locks are released during notify
 		mu.Lock()
 		events = append(events, ev)
 		mu.Unlock()
-	})
+	}))
 	defer cancel()
 
 	devA, devB := baseband.BDAddr(0xA1), baseband.BDAddr(0xA2)
@@ -235,7 +227,7 @@ func BenchmarkApplyBatch(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					m := muts[i%frame]
 					m.At = sim.Tick(i)
-					db.SetPresence(m.Dev, m.Piconet, m.At)
+					present(db, m.Dev, m.Piconet, m.At)
 				}
 			} else {
 				buf := make([]Mutation, frame)

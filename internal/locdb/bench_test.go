@@ -27,7 +27,7 @@ func benchmarkLocdb(b *testing.B, shards int) {
 	const devices = 1024
 	const rooms = 32
 	for i := 0; i < devices; i++ {
-		db.SetPresence(baseband.BDAddr(0xB000_0000_0001+uint64(i)), graph.NodeID(i%rooms), 0)
+		present(db, baseband.BDAddr(0xB000_0000_0001+uint64(i)), graph.NodeID(i%rooms), 0)
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -45,7 +45,7 @@ func benchmarkLocdb(b *testing.B, shards int) {
 				// a real move (map + history mutation), not the
 				// unchanged-piconet no-op.
 				room := graph.NodeID((i + i/devices) % rooms)
-				db.SetPresence(dev, room, sim.Tick(i))
+				present(db, dev, room, sim.Tick(i))
 			} else {
 				db.Locate(dev)
 			}
@@ -63,7 +63,7 @@ func BenchmarkLocdbSharded(b *testing.B)     { benchmarkLocdb(b, 16) }
 func BenchmarkLocdbSnapshotAll(b *testing.B) {
 	db := New()
 	for i := 0; i < 1024; i++ {
-		db.SetPresence(baseband.BDAddr(0xB000_0000_0001+uint64(i)), graph.NodeID(i%32), 0)
+		present(db, baseband.BDAddr(0xB000_0000_0001+uint64(i)), graph.NodeID(i%32), 0)
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -82,11 +82,11 @@ func BenchmarkLocdbSnapshotAll(b *testing.B) {
 func BenchmarkLocdbSnapshotAllChurn(b *testing.B) {
 	db := New()
 	for i := 0; i < 1024; i++ {
-		db.SetPresence(baseband.BDAddr(0xB000_0000_0001+uint64(i)), graph.NodeID(i%32), 0)
+		present(db, baseband.BDAddr(0xB000_0000_0001+uint64(i)), graph.NodeID(i%32), 0)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db.SetPresence(baseband.BDAddr(0xB000_0000_0001+uint64(i%1024)), graph.NodeID((i+i/1024)%32), sim.Tick(i+1))
+		present(db, baseband.BDAddr(0xB000_0000_0001+uint64(i%1024)), graph.NodeID((i+i/1024)%32), sim.Tick(i+1))
 		if got := db.All(); len(got) != 1024 {
 			b.Fatalf("All returned %d fixes", len(got))
 		}

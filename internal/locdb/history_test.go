@@ -12,7 +12,7 @@ import (
 // 10, 20, 30, ...
 func historyMoves(db *DB, dev baseband.BDAddr, n int) {
 	for i := 0; i < n; i++ {
-		db.SetPresence(dev, graph.NodeID(i), sim.Tick(10*(i+1)))
+		present(db, dev, graph.NodeID(i), sim.Tick(10*(i+1)))
 	}
 }
 
@@ -70,7 +70,7 @@ func TestHistoryExactBoundaryEviction(t *testing.T) {
 		t.Fatalf("at boundary History = %v", h)
 	}
 	// The limit+1-th move: room 0's run is evicted, the rest shift.
-	db.SetPresence(dev, graph.NodeID(limit), sim.Tick(10*(limit+1)))
+	present(db, dev, graph.NodeID(limit), sim.Tick(10*(limit+1)))
 	h = db.History(dev)
 	if len(h) != limit || h[0].Piconet != 1 || h[limit-1].Piconet != graph.NodeID(limit) {
 		t.Fatalf("past boundary History = %v", h)
@@ -103,11 +103,11 @@ func TestHistoryShardParity(t *testing.T) {
 		at := sim.Tick(step)
 		switch step % 7 {
 		case 6:
-			single.SetAbsence(dev, room, at)
-			sharded.SetAbsence(dev, room, at)
+			absent(single, dev, room, at)
+			absent(sharded, dev, room, at)
 		default:
-			single.SetPresence(dev, room, at)
-			sharded.SetPresence(dev, room, at)
+			present(single, dev, room, at)
+			present(sharded, dev, room, at)
 		}
 	}
 	for i := 0; i < devices; i++ {
@@ -141,22 +141,22 @@ func TestHistoryShardParity(t *testing.T) {
 func TestMutationChangeReports(t *testing.T) {
 	db := New()
 	dev := baseband.BDAddr(0xA4)
-	if !db.SetPresence(dev, 1, 10) {
+	if !present(db, dev, 1, 10) {
 		t.Fatal("first presence reported unchanged")
 	}
-	if db.SetPresence(dev, 1, 20) {
+	if present(db, dev, 1, 20) {
 		t.Fatal("re-reported presence claimed a change")
 	}
-	if !db.SetPresence(dev, 2, 30) {
+	if !present(db, dev, 2, 30) {
 		t.Fatal("move reported unchanged")
 	}
-	if db.SetAbsence(dev, 1, 40) {
+	if absent(db, dev, 1, 40) {
 		t.Fatal("stale absence (old room) claimed a change")
 	}
-	if !db.SetAbsence(dev, 2, 40) {
+	if !absent(db, dev, 2, 40) {
 		t.Fatal("real absence reported unchanged")
 	}
-	if db.SetAbsence(dev, 2, 50) {
+	if absent(db, dev, 2, 50) {
 		t.Fatal("absence of an absent device claimed a change")
 	}
 	if !db.Drop(dev) {
@@ -180,7 +180,7 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 		if i%5 == 0 {
 			// Leave some devices absent-with-history.
 			fix, _ := src.Locate(dev)
-			src.SetAbsence(dev, fix.Piconet, 1000)
+			absent(src, dev, fix.Piconet, 1000)
 		}
 	}
 

@@ -173,9 +173,9 @@ type DB struct {
 	subsMu  sync.RWMutex
 	subs    map[int]Sink
 	nextSub int
-	// subsList is the subscription-ordered sink list notify iterates,
-	// rebuilt on (un)subscribe and read through one atomic load so the
-	// per-delta hot path allocates nothing.
+	// subsList is the subscription-ordered sink list notifyBatch
+	// iterates, rebuilt on (un)subscribe and read through one atomic load
+	// so the per-frame hot path allocates nothing.
 	subsList atomic.Pointer[[]Sink]
 
 	// Merged-snapshot cache: allCur is the last full merge (with the
@@ -270,98 +270,56 @@ func shardIndex(v uint64, n int) int {
 	return int(v % uint64(n))
 }
 
-// setPresenceLocked applies one presence delta to its shard. The caller
-// holds sh.mu; the returned bool reports whether state changed (delta
-// semantics: re-reporting an unchanged piconet is a no-op). On a change
-// the returned event carries the previous piconet, when there was one,
-// so subscribers see the handover as one fact.
-func (db *DB) setPresenceLocked(sh *shard, idx int, dev baseband.BDAddr, piconet graph.NodeID, at sim.Tick) (Event, bool) {
-	prev, had := sh.current[dev]
-	if had && prev.Piconet == piconet {
+// applyLocked applies one mutation to its shard (index idx). The caller
+// holds sh.mu; the returned bool reports whether state changed. Delta
+// semantics: re-reporting an unchanged piconet is a no-op, and an
+// absence from a piconet the device is no longer in is ignored, so
+// out-of-order reports cannot erase a newer fix. A presence event
+// carries the previous piconet, when there was one, so subscribers see
+// a handover as one fact.
+func (db *DB) applyLocked(sh *shard, idx int, m Mutation) (Event, bool) {
+	cur, had := sh.current[m.Dev]
+	same := had && cur.Piconet == m.Piconet
+	ev := Event{Fix: Fix{Device: m.Dev, Piconet: m.Piconet, At: m.At}, Present: m.Op == MutPresence}
+	var op JournalOp
+	switch {
+	case m.Op == MutPresence && !same:
+		op = JournalPresence
+		if had {
+			delete(sh.occupants[cur.Piconet], m.Dev)
+			ev.Prev, ev.HasPrev = cur.Piconet, true
+		}
+		sh.current[m.Dev] = ev.Fix
+		occ := sh.occupants[m.Piconet]
+		if occ == nil {
+			occ = make(map[baseband.BDAddr]bool)
+			sh.occupants[m.Piconet] = occ
+		}
+		occ[m.Dev] = true
+		sh.hist.Append(m.Dev, m.Piconet, m.At)
+		sh.updates.Add(1)
+	case m.Op == MutAbsence && same:
+		op = JournalAbsence
+		delete(sh.current, m.Dev)
+		delete(sh.occupants[m.Piconet], m.Dev)
+		sh.absences.Add(1)
+	default:
 		return Event{}, false
 	}
-	if had {
-		delete(sh.occupants[prev.Piconet], dev)
-	}
-	sh.current[dev] = Fix{Device: dev, Piconet: piconet, At: at}
-	occ := sh.occupants[piconet]
-	if occ == nil {
-		occ = make(map[baseband.BDAddr]bool)
-		sh.occupants[piconet] = occ
-	}
-	occ[dev] = true
-	sh.hist.Append(dev, piconet, at)
 	if db.journal != nil {
-		db.journal.Record(idx, JournalPresence, dev, piconet, at)
+		db.journal.Record(idx, op, m.Dev, m.Piconet, m.At)
 	}
 	sh.version.Add(1)
-	sh.updates.Add(1)
-	ev := Event{Fix: Fix{Device: dev, Piconet: piconet, At: at}, Present: true}
-	if had {
-		ev.Prev, ev.HasPrev = prev.Piconet, true
-	}
 	return ev, true
-}
-
-// setAbsenceLocked applies one absence delta to its shard. The caller
-// holds sh.mu; an absence from a piconet the device is no longer in is
-// ignored (false), so out-of-order reports cannot erase a newer fix.
-func (db *DB) setAbsenceLocked(sh *shard, idx int, dev baseband.BDAddr, piconet graph.NodeID, at sim.Tick) (Event, bool) {
-	cur, ok := sh.current[dev]
-	if !ok || cur.Piconet != piconet {
-		return Event{}, false
-	}
-	delete(sh.current, dev)
-	delete(sh.occupants[piconet], dev)
-	if db.journal != nil {
-		db.journal.Record(idx, JournalAbsence, dev, piconet, at)
-	}
-	sh.version.Add(1)
-	sh.absences.Add(1)
-	return Event{Fix: Fix{Device: dev, Piconet: piconet, At: at}, Present: false}, true
-}
-
-// SetPresence records that the device is present in the piconet at the
-// given time. It implements the delta semantics: re-reporting an unchanged
-// piconet is a cheap no-op, reported by the false return.
-func (db *DB) SetPresence(dev baseband.BDAddr, piconet graph.NodeID, at sim.Tick) bool {
-	idx := db.shardIdxOf(dev)
-	sh := db.shards[idx]
-	sh.mu.Lock()
-	ev, changed := db.setPresenceLocked(sh, idx, dev, piconet, at)
-	sh.mu.Unlock()
-	if !changed {
-		return false
-	}
-	db.notify(ev)
-	return true
-}
-
-// SetAbsence records that the device left the given piconet at the given
-// time. An absence reported by a piconet the device is no longer in (the
-// device was already handed over) is ignored, so out-of-order reports from
-// two workstations cannot erase a newer presence; the false return
-// reports the ignore.
-func (db *DB) SetAbsence(dev baseband.BDAddr, piconet graph.NodeID, at sim.Tick) bool {
-	idx := db.shardIdxOf(dev)
-	sh := db.shards[idx]
-	sh.mu.Lock()
-	ev, changed := db.setAbsenceLocked(sh, idx, dev, piconet, at)
-	sh.mu.Unlock()
-	if !changed {
-		return false
-	}
-	db.notify(ev)
-	return true
 }
 
 // Drop removes every trace of a device (logout). It returns whether the
 // device had any state to remove. Any drop that removed state is
-// announced to subscribers as a final Dropped absence event — from the
-// device's room when it still had a current fix, or carrying just the
-// device address when only history remained — so per-room views
-// (occupancy, room watchers) and history-derived indexes built from the
-// event stream stay consistent across logouts.
+// announced to subscribers as a one-event frame holding a final Dropped
+// absence — from the device's room when it still had a current fix, or
+// carrying just the device address when only history remained — so
+// per-room views (occupancy, room watchers) and history-derived indexes
+// built from the event stream stay consistent across logouts.
 func (db *DB) Drop(dev baseband.BDAddr) bool {
 	idx := db.shardIdxOf(dev)
 	sh := db.shards[idx]
@@ -384,7 +342,7 @@ func (db *DB) Drop(dev baseband.BDAddr) bool {
 	}
 	sh.mu.Unlock()
 	if changed {
-		db.notify(ev)
+		db.notifyBatch([]Event{ev})
 	}
 	return changed
 }
@@ -520,50 +478,26 @@ func (db *DB) Stats() Stats {
 	return st
 }
 
-// Sink consumes the delta stream. OnEvent carries one delta from the
-// single-mutation paths (SetPresence, SetAbsence, Drop); OnEvents
-// carries a whole ApplyBatch frame in one call, so a frame-aware
-// consumer (the fan-out tree, the analytics hot tier) pays its
-// per-delivery overhead — lock acquisitions, state sweeps — once per
-// frame instead of once per delta. The slice handed to OnEvents is
-// owned by the database and recycled after the call returns: consumers
-// must not retain it.
+// Sink consumes the delta stream one frame at a time: OnEvents carries
+// the changes of one ApplyBatch call (or the single Dropped event of a
+// Drop), so a consumer (the fan-out tree, the analytics hot tier) pays
+// its per-delivery overhead — lock acquisitions, state sweeps — once
+// per frame instead of once per delta. The slice is owned by the
+// database and recycled after the call returns: consumers must not
+// retain it.
 //
-// Both methods run synchronously on the mutating goroutine, after the
+// OnEvents runs synchronously on the mutating goroutine, after the
 // shard locks are released, and must not mutate the database
 // re-entrantly in a way that assumes ordering against other updaters:
 // with concurrent writers on different shards, deliveries for
 // different devices may interleave (the single-threaded simulator
 // never hits this; a multi-connection server does).
 type Sink interface {
-	OnEvent(Event)
 	OnEvents([]Event)
 }
 
-// funcSink adapts a per-event callback to the Sink interface for the
-// plain Subscribe path; frames are unrolled one event at a time.
-type funcSink struct{ fn func(Event) }
-
-func (s funcSink) OnEvent(ev Event) { s.fn(ev) }
-func (s funcSink) OnEvents(evs []Event) {
-	for _, ev := range evs {
-		s.fn(ev)
-	}
-}
-
-// Subscribe registers fn to be called on every presence change. It
-// returns an unsubscribe function. The callback contract is Sink's:
-// fn runs synchronously on the updating goroutine after the shard lock
-// is released. Frame-aware consumers use SubscribeSink instead.
-func (db *DB) Subscribe(fn func(Event)) (cancel func()) {
-	return db.SubscribeSink(funcSink{fn})
-}
-
-// SubscribeSink registers a batch-capable consumer of the delta
-// stream: single mutations arrive through OnEvent, whole ApplyBatch
-// frames through one OnEvents call. Sinks and plain Subscribe
-// callbacks share one subscription order. It returns an unsubscribe
-// function.
+// SubscribeSink registers a consumer of the delta stream. Sinks are
+// called in subscription order. It returns an unsubscribe function.
 func (db *DB) SubscribeSink(s Sink) (cancel func()) {
 	db.subsMu.Lock()
 	defer db.subsMu.Unlock()
@@ -594,23 +528,12 @@ func (db *DB) rebuildSubsLocked() {
 	db.subsList.Store(&sinks)
 }
 
-// notify delivers one event to all subscribers in subscription order.
-// The sink list is prebuilt, so a delta with no subscribers — and the
-// common case of a stable subscriber set — costs one atomic load and
-// no allocation.
-func (db *DB) notify(ev Event) {
-	sinks := db.subsList.Load()
-	if sinks == nil {
-		return
-	}
-	for _, s := range *sinks {
-		s.OnEvent(ev)
-	}
-}
-
 // notifyBatch delivers a whole mutation frame to all subscribers in
-// subscription order, one OnEvents call per sink. The events slice is
-// recycled by the caller after the call; sinks must not retain it.
+// subscription order, one OnEvents call per sink. The sink list is
+// prebuilt, so a frame with no subscribers — and the common case of a
+// stable subscriber set — costs one atomic load and no allocation. The
+// events slice is recycled by the caller after the call; sinks must not
+// retain it.
 func (db *DB) notifyBatch(evs []Event) {
 	if len(evs) == 0 {
 		return

@@ -15,6 +15,26 @@ const (
 	dev2 = baseband.BDAddr(0xB2)
 )
 
+// present and absent apply one delta as a one-mutation frame through
+// ApplyBatch, the store's only write path, and report whether it
+// changed state.
+func present(db Store, dev baseband.BDAddr, room graph.NodeID, at sim.Tick) bool {
+	return db.ApplyBatch([]Mutation{{Op: MutPresence, Dev: dev, Piconet: room, At: at}}) == 1
+}
+
+func absent(db Store, dev baseband.BDAddr, room graph.NodeID, at sim.Tick) bool {
+	return db.ApplyBatch([]Mutation{{Op: MutAbsence, Dev: dev, Piconet: room, At: at}}) == 1
+}
+
+// eachEvent adapts a per-event callback to Sink, unrolling every frame.
+type eachEvent func(Event)
+
+func (f eachEvent) OnEvents(evs []Event) {
+	for _, ev := range evs {
+		f(ev)
+	}
+}
+
 func TestLocateUnknown(t *testing.T) {
 	db := New()
 	if _, err := db.Locate(dev1); !errors.Is(err, ErrNotPresent) {
@@ -24,7 +44,7 @@ func TestLocateUnknown(t *testing.T) {
 
 func TestPresenceLifecycle(t *testing.T) {
 	db := New()
-	db.SetPresence(dev1, 3, 100)
+	present(db, dev1, 3, 100)
 	fix, err := db.Locate(dev1)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +53,7 @@ func TestPresenceLifecycle(t *testing.T) {
 		t.Errorf("fix = %+v", fix)
 	}
 	// Handover to another piconet.
-	db.SetPresence(dev1, 5, 200)
+	present(db, dev1, 5, 200)
 	fix, err = db.Locate(dev1)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +65,7 @@ func TestPresenceLifecycle(t *testing.T) {
 		t.Errorf("old piconet still occupied: %v", occ)
 	}
 	// Absence.
-	db.SetAbsence(dev1, 5, 300)
+	absent(db, dev1, 5, 300)
 	if _, err := db.Locate(dev1); !errors.Is(err, ErrNotPresent) {
 		t.Errorf("Locate after absence error = %v", err)
 	}
@@ -53,9 +73,9 @@ func TestPresenceLifecycle(t *testing.T) {
 
 func TestDeltaSemantics(t *testing.T) {
 	db := New()
-	db.SetPresence(dev1, 3, 100)
-	db.SetPresence(dev1, 3, 200) // unchanged: must not count as update
-	db.SetPresence(dev1, 3, 300)
+	present(db, dev1, 3, 100)
+	present(db, dev1, 3, 200) // unchanged: must not count as update
+	present(db, dev1, 3, 300)
 	if got := db.Stats().Updates; got != 1 {
 		t.Errorf("Updates = %d, want 1 (delta semantics)", got)
 	}
@@ -76,9 +96,9 @@ func TestStaleAbsenceIgnored(t *testing.T) {
 	// Device moved 3 -> 5; a late absence report from piconet 3 must
 	// not erase the newer presence in 5.
 	db := New()
-	db.SetPresence(dev1, 3, 100)
-	db.SetPresence(dev1, 5, 200)
-	db.SetAbsence(dev1, 3, 250)
+	present(db, dev1, 3, 100)
+	present(db, dev1, 5, 200)
+	absent(db, dev1, 3, 250)
 	fix, err := db.Locate(dev1)
 	if err != nil {
 		t.Fatalf("stale absence erased presence: %v", err)
@@ -87,13 +107,13 @@ func TestStaleAbsenceIgnored(t *testing.T) {
 		t.Errorf("piconet = %d, want 5", fix.Piconet)
 	}
 	// Absence for a device never present is a no-op.
-	db.SetAbsence(dev2, 3, 100)
+	absent(db, dev2, 3, 100)
 }
 
 func TestOccupants(t *testing.T) {
 	db := New()
-	db.SetPresence(dev2, 3, 100)
-	db.SetPresence(dev1, 3, 110)
+	present(db, dev2, 3, 100)
+	present(db, dev1, 3, 110)
 	got := db.Occupants(3)
 	if len(got) != 2 || got[0] != dev1 || got[1] != dev2 {
 		t.Errorf("Occupants = %v, want sorted [dev1 dev2]", got)
@@ -109,7 +129,7 @@ func TestOccupants(t *testing.T) {
 func TestHistoryBounded(t *testing.T) {
 	db := NewWithHistory(4)
 	for i := 0; i < 10; i++ {
-		db.SetPresence(dev1, graph.NodeID(i), sim.Tick(i*100))
+		present(db, dev1, graph.NodeID(i), sim.Tick(i*100))
 	}
 	h := db.History(dev1)
 	if len(h) != 4 {
@@ -122,12 +142,12 @@ func TestHistoryBounded(t *testing.T) {
 
 func TestHistoryDisabled(t *testing.T) {
 	db := NewWithHistory(0)
-	db.SetPresence(dev1, 1, 10)
+	present(db, dev1, 1, 10)
 	if h := db.History(dev1); len(h) != 0 {
 		t.Errorf("history with limit 0 = %v", h)
 	}
 	db2 := NewWithHistory(-5)
-	db2.SetPresence(dev1, 1, 10)
+	present(db2, dev1, 1, 10)
 	if h := db2.History(dev1); len(h) != 0 {
 		t.Errorf("negative limit should disable history, got %v", h)
 	}
@@ -135,7 +155,7 @@ func TestHistoryDisabled(t *testing.T) {
 
 func TestHistoryCopyIsolated(t *testing.T) {
 	db := New()
-	db.SetPresence(dev1, 1, 10)
+	present(db, dev1, 1, 10)
 	h := db.History(dev1)
 	h[0].Piconet = 42
 	if db.History(dev1)[0].Piconet != 1 {
@@ -145,7 +165,7 @@ func TestHistoryCopyIsolated(t *testing.T) {
 
 func TestDrop(t *testing.T) {
 	db := New()
-	db.SetPresence(dev1, 3, 100)
+	present(db, dev1, 3, 100)
 	db.Drop(dev1)
 	if _, err := db.Locate(dev1); err == nil {
 		t.Error("dropped device still present")
@@ -162,11 +182,11 @@ func TestDrop(t *testing.T) {
 func TestSubscribe(t *testing.T) {
 	db := New()
 	var events []Event
-	cancel := db.Subscribe(func(e Event) { events = append(events, e) })
-	db.SetPresence(dev1, 3, 100)
-	db.SetPresence(dev1, 3, 150) // delta no-op: no event
-	db.SetPresence(dev1, 5, 200)
-	db.SetAbsence(dev1, 5, 300)
+	cancel := db.SubscribeSink(eachEvent(func(e Event) { events = append(events, e) }))
+	present(db, dev1, 3, 100)
+	present(db, dev1, 3, 150) // delta no-op: no event
+	present(db, dev1, 5, 200)
+	absent(db, dev1, 5, 300)
 	if len(events) != 3 {
 		t.Fatalf("events = %d, want 3", len(events))
 	}
@@ -180,7 +200,7 @@ func TestSubscribe(t *testing.T) {
 		t.Errorf("event 2 = %+v", events[2])
 	}
 	cancel()
-	db.SetPresence(dev2, 1, 400)
+	present(db, dev2, 1, 400)
 	if len(events) != 3 {
 		t.Error("event delivered after cancel")
 	}
@@ -192,9 +212,9 @@ func TestSubscribe(t *testing.T) {
 func TestSubscribeHandoverCarriesPrev(t *testing.T) {
 	db := New()
 	var events []Event
-	db.Subscribe(func(e Event) { events = append(events, e) })
-	db.SetPresence(dev1, 3, 100)
-	db.SetPresence(dev1, 5, 200)
+	db.SubscribeSink(eachEvent(func(e Event) { events = append(events, e) }))
+	present(db, dev1, 3, 100)
+	present(db, dev1, 5, 200)
 	if len(events) != 2 {
 		t.Fatalf("events = %d, want 2", len(events))
 	}
@@ -212,8 +232,8 @@ func TestSubscribeHandoverCarriesPrev(t *testing.T) {
 func TestDropEmitsFinalAbsence(t *testing.T) {
 	db := New()
 	var events []Event
-	db.Subscribe(func(e Event) { events = append(events, e) })
-	db.SetPresence(dev1, 3, 100)
+	db.SubscribeSink(eachEvent(func(e Event) { events = append(events, e) }))
+	present(db, dev1, 3, 100)
 	db.Drop(dev1)
 	if len(events) != 2 {
 		t.Fatalf("events = %d, want presence + final absence", len(events))
@@ -227,8 +247,8 @@ func TestDropEmitsFinalAbsence(t *testing.T) {
 	}
 	// A device with history but no current fix still announces the drop
 	// (history-derived indexes must forget it), but carries no room.
-	db.SetPresence(dev2, 1, 200)
-	db.SetAbsence(dev2, 1, 300)
+	present(db, dev2, 1, 200)
+	absent(db, dev2, 1, 300)
 	n := len(events)
 	db.Drop(dev2)
 	if len(events) != n+1 {
@@ -248,9 +268,9 @@ func TestDropEmitsFinalAbsence(t *testing.T) {
 
 func TestLocateAt(t *testing.T) {
 	db := New()
-	db.SetPresence(dev1, 3, 100)
-	db.SetPresence(dev1, 5, 200)
-	db.SetPresence(dev1, 7, 300)
+	present(db, dev1, 3, 100)
+	present(db, dev1, 5, 200)
+	present(db, dev1, 7, 300)
 	tests := []struct {
 		at      sim.Tick
 		want    graph.NodeID
@@ -281,9 +301,9 @@ func TestLocateAt(t *testing.T) {
 
 func TestLocateAtRespectsHistoryLimit(t *testing.T) {
 	db := NewWithHistory(2)
-	db.SetPresence(dev1, 1, 100)
-	db.SetPresence(dev1, 2, 200)
-	db.SetPresence(dev1, 3, 300)
+	present(db, dev1, 1, 100)
+	present(db, dev1, 2, 200)
+	present(db, dev1, 3, 300)
 	// The fix at t=100 has been evicted.
 	if _, err := db.LocateAt(dev1, 150); err == nil {
 		t.Error("evicted history still answered")
@@ -295,9 +315,9 @@ func TestLocateAtRespectsHistoryLimit(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	db := New()
-	db.SetPresence(dev1, 1, 10)
-	db.SetPresence(dev1, 2, 20)
-	db.SetAbsence(dev1, 2, 30)
+	present(db, dev1, 1, 10)
+	present(db, dev1, 2, 20)
+	absent(db, dev1, 2, 30)
 	if _, err := db.Locate(dev1); err == nil {
 		t.Fatal("expected not present")
 	}
@@ -317,14 +337,14 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 			defer wg.Done()
 			dev := baseband.BDAddr(0x100 + i)
 			for j := 0; j < 100; j++ {
-				db.SetPresence(dev, graph.NodeID(j%5), sim.Tick(j))
+				present(db, dev, graph.NodeID(j%5), sim.Tick(j))
 				if _, err := db.Locate(dev); err != nil {
 					t.Errorf("Locate during churn: %v", err)
 					return
 				}
 				db.Occupants(graph.NodeID(j % 5))
 			}
-			db.SetAbsence(dev, graph.NodeID(99), 1000) // stale, ignored
+			absent(db, dev, graph.NodeID(99), 1000) // stale, ignored
 		}()
 	}
 	wg.Wait()

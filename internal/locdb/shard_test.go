@@ -68,11 +68,11 @@ func TestShardedEquivalence(t *testing.T) {
 		switch step % 5 {
 		case 0, 1, 2:
 			for _, db := range dbs {
-				db.SetPresence(dev, room, at)
+				present(db, dev, room, at)
 			}
 		case 3:
 			for _, db := range dbs {
-				db.SetAbsence(dev, room, at)
+				absent(db, dev, room, at)
 			}
 		case 4:
 			if step%20 == 4 {
@@ -134,7 +134,7 @@ func TestAllSnapshotPath(t *testing.T) {
 		t.Fatalf("All on empty db = %v", got)
 	}
 	for i := 0; i < 50; i++ {
-		db.SetPresence(baseband.BDAddr(1000+i), graph.NodeID(i%5), sim.Tick(i))
+		present(db, baseband.BDAddr(1000+i), graph.NodeID(i%5), sim.Tick(i))
 		all := db.All()
 		if len(all) != i+1 {
 			t.Fatalf("after %d inserts All has %d fixes", i+1, len(all))
@@ -154,7 +154,7 @@ func TestAllSnapshotPath(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { db.All() }); allocs != 0 {
 		t.Errorf("All() on quiescent db allocates %.1f objects/call, want 0", allocs)
 	}
-	db.SetAbsence(baseband.BDAddr(1000), graph.NodeID(0), 100)
+	absent(db, baseband.BDAddr(1000), graph.NodeID(0), 100)
 	if got := len(db.All()); got != 49 {
 		t.Fatalf("after absence All has %d fixes, want 49", got)
 	}
@@ -191,7 +191,7 @@ func TestShardedConcurrentHammer(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				dev := baseband.BDAddr(0xC000_0000_0000 + uint64(w)<<16 + uint64(i%50))
 				room := graph.NodeID(i % 9)
-				db.SetPresence(dev, room, sim.Tick(i))
+				present(db, dev, room, sim.Tick(i))
 				if i%3 == 0 {
 					db.Locate(dev)
 				}
@@ -232,7 +232,7 @@ func TestOccupantsAcrossShards(t *testing.T) {
 	want := map[baseband.BDAddr]bool{}
 	for i := 0; i < 200; i++ {
 		dev := baseband.BDAddr(0xD000_0000_0000 + uint64(i))
-		db.SetPresence(dev, room, sim.Tick(i))
+		present(db, dev, room, sim.Tick(i))
 		want[dev] = true
 	}
 	got := db.Occupants(room)
@@ -253,7 +253,7 @@ func TestOccupantsAcrossShards(t *testing.T) {
 
 func ExampleNewSharded() {
 	db, _ := NewSharded(4, DefaultHistoryLimit)
-	db.SetPresence(0xB00000000001, 7, 100)
+	present(db, 0xB00000000001, 7, 100)
 	fix, _ := db.Locate(0xB00000000001)
 	fmt.Printf("shards=%d room=%d\n", db.NumShards(), fix.Piconet)
 	// Output: shards=4 room=7

@@ -14,23 +14,19 @@ import (
 // simulator core both program against this interface, never against a
 // concrete backend.
 //
-// Mutations report whether they changed state: the delta protocol makes
-// re-reported presences cheap no-ops, and a durable backend uses the
-// report to keep the WAL an exact delta stream instead of logging every
-// redundant workstation report.
+// Every presence delta — from a station, the simulator or WAL replay —
+// enters through ApplyBatch, which reports how many mutations changed
+// state: the delta protocol makes re-reported presences cheap no-ops,
+// and a durable backend uses the report to keep the WAL an exact delta
+// stream instead of logging every redundant workstation report.
 type Store interface {
-	// SetPresence records that dev is present in piconet at tick at.
-	SetPresence(dev baseband.BDAddr, piconet graph.NodeID, at sim.Tick) bool
-	// SetAbsence records that dev left piconet at tick at.
-	SetAbsence(dev baseband.BDAddr, piconet graph.NodeID, at sim.Tick) bool
-	// Drop removes every trace of the device (logout).
-	Drop(dev baseband.BDAddr) bool
 	// ApplyBatch applies a validated batch of presence/absence
 	// mutations with one lock acquisition per touched shard, returning
-	// how many changed state. It is the ingest pipeline's write path; a
-	// journaling backend group-commits the whole batch as one coalesced
-	// WAL write.
+	// how many changed state. A journaling backend group-commits the
+	// whole batch as one coalesced WAL write.
 	ApplyBatch(muts []Mutation) int
+	// Drop removes every trace of the device (logout).
+	Drop(dev baseband.BDAddr) bool
 
 	// Locate returns the device's current fix.
 	Locate(dev baseband.BDAddr) (Fix, error)
@@ -62,12 +58,9 @@ type Store interface {
 	Stats() Stats
 	// NumShards reports the backend's shard count.
 	NumShards() int
-	// Subscribe registers fn for every presence change; the returned
-	// function unsubscribes.
-	Subscribe(fn func(Event)) (cancel func())
-	// SubscribeSink registers a batch-capable consumer: single deltas
-	// arrive through OnEvent, whole ApplyBatch frames through one
-	// OnEvents call (see Sink for the delivery contract).
+	// SubscribeSink registers a consumer of the delta stream, one
+	// OnEvents call per frame (see Sink for the delivery contract); the
+	// returned function unsubscribes.
 	SubscribeSink(s Sink) (cancel func())
 
 	// Close releases backend resources (files, goroutines). The

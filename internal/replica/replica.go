@@ -46,7 +46,7 @@ type User struct {
 
 // New builds the deployment for one replica: a service with the given
 // seed and plan, cfg.Users registered walking users started round-robin
-// across the rooms.
+// across the rooms. The caller closes the service.
 func New(seed int64, cfg Config) (*bips.Service, []User, error) {
 	opts := []bips.Option{bips.WithSeed(seed)}
 	if cfg.Plan != nil {
@@ -80,6 +80,7 @@ func Run(seed int64, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer svc.Close()
 	svc.Start()
 	defer svc.Stop()
 

@@ -29,14 +29,14 @@ func TestPooledBufferAliasing(t *testing.T) {
 	s := newSubServer(t, WithEventBuffer(4096), WithDropLimit(1<<30))
 	login(t, s, "alice", devA)
 	login(t, s, "bob", devB)
-	if err := s.ApplyPresence(wire.Presence{
+	if err := s.ReportDelta(wire.Presence{
 		Device: wire.FormatAddr(devB), Room: 6, At: 1, Present: true,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	// Alice never moves, so LocateAt has a stable answer no matter how
 	// far the mover's churn evicts bob's history.
-	if err := s.ApplyPresence(wire.Presence{
+	if err := s.ReportDelta(wire.Presence{
 		Device: wire.FormatAddr(devA), Room: 1, At: 1, Present: true,
 	}); err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestPooledBufferAliasing(t *testing.T) {
 	go func() {
 		defer close(moverDone)
 		for i := 0; i < moves; i++ {
-			_ = s.ApplyPresence(wire.Presence{
+			_ = s.ReportDelta(wire.Presence{
 				Device: wire.FormatAddr(devB), Room: graph.NodeID(5 + i%2), At: sim.Tick(2 + i), Present: true,
 			})
 		}

@@ -19,7 +19,7 @@ import (
 func crossPaths(t *testing.T, s *server.Server) {
 	t.Helper()
 	walkBob(t, s)
-	if err := s.ApplyPresence(wire.Presence{Device: devA.String(), Room: 4, At: 250, Present: true}); err != nil {
+	if err := s.ReportDelta(wire.Presence{Device: devA.String(), Room: 4, At: 250, Present: true}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -40,7 +40,7 @@ func benchServer(b *testing.B, shards int, opts ...Option) *Server {
 	if err := s.Login(wire.Login{User: "bob", Password: pw, Device: wire.FormatAddr(devB)}); err != nil {
 		b.Fatal(err)
 	}
-	if err := s.ApplyPresence(wire.Presence{Device: wire.FormatAddr(devB), Room: 6, At: 1, Present: true}); err != nil {
+	if err := s.ReportDelta(wire.Presence{Device: wire.FormatAddr(devB), Room: 6, At: 1, Present: true}); err != nil {
 		b.Fatal(err)
 	}
 	return s
@@ -159,7 +159,7 @@ func BenchmarkFanoutEventPush(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Alternate leave/enter so every mutation is exactly one event.
 		p := wire.Presence{Device: wire.FormatAddr(devB), Room: 6, At: 2 + sim.Tick(i), Present: i%2 == 1}
-		if err := s.ApplyPresence(p); err != nil {
+		if err := s.ReportDelta(p); err != nil {
 			b.Fatal(err)
 		}
 		var env wire.Envelope
@@ -259,7 +259,7 @@ func BenchmarkFanoutWritePath(b *testing.B) {
 					// Alternate leave/enter (the fixture seeds bob present
 					// in room 6, so absence first): one event per mutation.
 					p := wire.Presence{Device: wire.FormatAddr(devB), Room: 6, At: tick, Present: tick%2 == 1}
-					if err := s.ApplyPresence(p); err != nil {
+					if err := s.ReportDelta(p); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -39,7 +39,7 @@ func newFlushServer(t *testing.T, opts ...Option) *Server {
 	s.Logf = nil
 	login(t, s, "alice", devA)
 	login(t, s, "bob", devB)
-	if err := s.ApplyPresence(wire.Presence{Device: wire.FormatAddr(devB), Room: 6, At: 1, Present: true}); err != nil {
+	if err := s.ReportDelta(wire.Presence{Device: wire.FormatAddr(devB), Room: 6, At: 1, Present: true}); err != nil {
 		t.Fatal(err)
 	}
 	return s

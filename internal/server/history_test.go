@@ -50,11 +50,11 @@ func walkBob(t *testing.T, s *server.Server) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.ApplyPresence(wire.Presence{Device: devA.String(), Room: 1, At: 50, Present: true}); err != nil {
+	if err := s.ReportDelta(wire.Presence{Device: devA.String(), Room: 1, At: 50, Present: true}); err != nil {
 		t.Fatal(err)
 	}
 	for i, room := range []graph.NodeID{2, 4, 6, 3} {
-		err := s.ApplyPresence(wire.Presence{
+		err := s.ReportDelta(wire.Presence{
 			Device: devB.String(), Room: room, At: sim.Tick(100 * (i + 1)), Present: true,
 		})
 		if err != nil {

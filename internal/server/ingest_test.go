@@ -2,11 +2,11 @@ package server_test
 
 import (
 	"encoding/json"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"bips/internal/graph"
-	"bips/internal/ingest"
 	"bips/internal/locdb"
 	"bips/internal/server"
 	"bips/internal/sim"
@@ -110,7 +110,7 @@ func TestIngestSessionEndToEnd(t *testing.T) {
 // and the connection must stay usable afterwards (never
 // disconnect-without-reply).
 func TestIngestAdversarial(t *testing.T) {
-	s := newServer(t, server.WithIngestOptions(ingest.WithGapWait(50*time.Millisecond)))
+	s := newServer(t)
 	c := ingestClient(t, s)
 
 	var ack wire.IngestAck
@@ -118,9 +118,11 @@ func TestIngestAdversarial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wantErr := func(name string, t_ wire.MsgType, body any, code string) {
+	wantErr := func(name string, t_ wire.MsgType, body any, code string) time.Duration {
 		t.Helper()
+		start := time.Now()
 		err := c.Call(t_, body, nil)
+		elapsed := time.Since(start)
 		werr, ok := err.(*wire.Error)
 		if !ok {
 			t.Fatalf("%s: err = %v, want *wire.Error", name, err)
@@ -132,6 +134,7 @@ func TestIngestAdversarial(t *testing.T) {
 		if err := c.Call(wire.MsgRooms, wire.RoomsQuery{}, nil); err != nil {
 			t.Fatalf("%s: connection unusable after error: %v", name, err)
 		}
+		return elapsed
 	}
 
 	wantErr("unknown session", wire.MsgPresenceBatch,
@@ -143,11 +146,15 @@ func TestIngestAdversarial(t *testing.T) {
 	wantErr("oversized batch", wire.MsgPresenceBatch,
 		wire.PresenceBatch{Session: "st", Seq: 1, Deltas: make([]wire.Presence, wire.MaxBatchDeltas+1)},
 		wire.CodeBadRequest)
-	wantErr("sequence far ahead", wire.MsgPresenceBatch,
-		ingestFrame("st", ingest.DefaultGapWindow+5, presenceAt(wire.FormatAddr(devA), 1, 1, true)),
-		wire.CodeBadRequest)
-	wantErr("sequence gap", wire.MsgPresenceBatch,
-		ingestFrame("st", 3, presenceAt(wire.FormatAddr(devA), 1, 1, true)), wire.CodeBadRequest)
+	// A frame past acked+1 is a gap, answered at once: the connection's
+	// frames apply in arrival order, so there is nothing to wait for.
+	for name, seq := range map[string]uint64{"sequence far ahead": 70, "sequence gap": 3} {
+		elapsed := wantErr(name, wire.MsgPresenceBatch,
+			ingestFrame("st", seq, presenceAt(wire.FormatAddr(devA), 1, 1, true)), wire.CodeBadRequest)
+		if elapsed > 200*time.Millisecond {
+			t.Errorf("%s answered after %v, want at once", name, elapsed)
+		}
+	}
 	wantErr("hello unknown room", wire.MsgIngestHello,
 		wire.IngestHello{Session: "st", Station: "S", Room: 99999}, wire.CodeNotFound)
 	wantErr("hello without session", wire.MsgIngestHello,
@@ -262,39 +269,146 @@ func TestIngestMatchesSingleDeltaPath(t *testing.T) {
 }
 
 // TestIngestPipelinedFrames: a station may pipeline frames on one
-// connection; the reorder window absorbs handler-scheduling races and
-// every frame is applied exactly once, in order.
+// connection. A burst of 64 frames leaves in one flush while the first
+// frame's handler stalls, so every later frame's handler runs — and
+// decodes — before the first has applied; the connection's turns still
+// apply them in arrival order, so every frame is acknowledged as
+// exactly its own sequence number and no gap is ever seen. A body that
+// fails to decode sits mid-burst: it gets its error, and its turn does
+// not stall or reorder the frames behind it.
 func TestIngestPipelinedFrames(t *testing.T) {
 	s := newServer(t)
 	if err := s.Login(wire.Login{User: "alice", Password: pw, Device: wire.FormatAddr(devA)}); err != nil {
 		t.Fatal(err)
 	}
-	c := ingestClient(t, s)
-	var ack wire.IngestAck
-	if err := c.Call(wire.MsgIngestHello, wire.IngestHello{Session: "st", Station: "S", Room: 1}, &ack); err != nil {
+	var stalled atomic.Bool
+	s.SetBeforeHandle(func(mt wire.MsgType) {
+		if mt == wire.MsgPresenceBatch && stalled.CompareAndSwap(false, true) {
+			time.Sleep(50 * time.Millisecond)
+		}
+	})
+	conn := servePipe(t, s)
+	// A lost turn deadlocks the burst; the deadline turns that into a
+	// failed read instead of a hung test.
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	codec := wire.NewFrameCodec(conn)
+	hello := wire.AppendEnvelope(nil, wire.MsgIngestHello, 1, wire.IngestHello{Session: "st", Station: "S", Room: 1})
+	if err := codec.SendPayload(hello); err != nil {
 		t.Fatal(err)
 	}
-	const frames = 32
-	errs := make(chan error, frames)
-	for i := 1; i <= frames; i++ {
-		go func(seq int) {
-			var a wire.IngestAck
-			errs <- c.Call(wire.MsgPresenceBatch, ingestFrame("st", uint64(seq),
-				presenceAt(wire.FormatAddr(devA), graph.NodeID(1+seq%7), sim.Tick(seq), true)), &a)
-		}(i)
-		// Stagger launches so sends hit the socket in seq order, as a
-		// real pipelining station's writes would.
-		time.Sleep(time.Millisecond)
+	if env, err := codec.Recv(); err != nil || env.Type != wire.MsgIngestAck {
+		t.Fatalf("hello answer = %+v, %v", env, err)
 	}
-	for i := 0; i < frames; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("pipelined frame: %v", err)
+
+	const burst, bad = 64, 31
+	wantAck := make(map[uint64]uint64, burst) // envelope seq -> frame seq
+	frameSeq := uint64(0)
+	for i := 0; i < burst; i++ {
+		envSeq := uint64(100 + i)
+		var payload []byte
+		if i == bad {
+			payload = wire.AppendEnvelopeRaw(nil, wire.Envelope{
+				Type: wire.MsgPresenceBatch, Seq: envSeq, Body: json.RawMessage(`"not a frame"`),
+			})
+		} else {
+			frameSeq++
+			wantAck[envSeq] = frameSeq
+			payload = wire.AppendEnvelope(nil, wire.MsgPresenceBatch, envSeq, ingestFrame("st", frameSeq,
+				presenceAt(wire.FormatAddr(devA), graph.NodeID(1+frameSeq%7), sim.Tick(frameSeq), true)))
+		}
+		if err := codec.SendPayloadNoFlush(payload); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if acked, _ := s.Ingest().Acked("st"); acked != frames {
-		t.Fatalf("session acked = %d, want %d", acked, frames)
+	if err := codec.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	if got := s.DB().Stats().Updates; got == 0 {
-		t.Fatal("no updates applied")
+
+	for i := 0; i < burst; i++ {
+		env, err := codec.Recv()
+		if err != nil {
+			t.Fatalf("response %d of %d: %v", i+1, burst, err)
+		}
+		if env.Seq == 100+bad {
+			var werr wire.Error
+			if env.Type != wire.MsgError || wire.UnmarshalBody(env, &werr) != nil || werr.Code != wire.CodeBadRequest {
+				t.Errorf("undecodable body answered %s %s, want a %s error", env.Type, env.Body, wire.CodeBadRequest)
+			}
+			continue
+		}
+		var ack wire.IngestAck
+		if env.Type != wire.MsgIngestAck || wire.UnmarshalBody(env, &ack) != nil {
+			t.Fatalf("frame with envelope seq %d answered %s %s", env.Seq, env.Type, env.Body)
+		}
+		if want, ok := wantAck[env.Seq]; !ok || ack.Acked != want || ack.Applied != 1 {
+			t.Errorf("frame %d ack = %+v, want acked %d applied 1", want, ack, want)
+		}
+	}
+	if acked, _ := s.Ingest().Acked("st"); acked != frameSeq {
+		t.Fatalf("session acked = %d, want %d", acked, frameSeq)
+	}
+	if gaps := s.Ingest().Stats()["seq_gaps"]; gaps != 0 {
+		t.Fatalf("ingest.seq_gaps = %d, want 0", gaps)
+	}
+}
+
+// TestIngestFrameInsideBatchKeepsOrder: a batch may carry a
+// presence.batch, so a batch takes the connection's turn like a
+// standalone frame. A standalone frame pipelined behind a stalled batch
+// must wait for the frame inside it instead of overtaking it as a gap.
+func TestIngestFrameInsideBatchKeepsOrder(t *testing.T) {
+	s := newServer(t)
+	if err := s.Login(wire.Login{User: "alice", Password: pw, Device: wire.FormatAddr(devA)}); err != nil {
+		t.Fatal(err)
+	}
+	s.SetBeforeHandle(func(mt wire.MsgType) {
+		if mt == wire.MsgBatch {
+			time.Sleep(50 * time.Millisecond)
+		}
+	})
+	conn := servePipe(t, s)
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	codec := wire.NewFrameCodec(conn)
+	hello := wire.AppendEnvelope(nil, wire.MsgIngestHello, 1, wire.IngestHello{Session: "st", Station: "S", Room: 1})
+	if err := codec.SendPayload(hello); err != nil {
+		t.Fatal(err)
+	}
+	if env, err := codec.Recv(); err != nil || env.Type != wire.MsgIngestAck {
+		t.Fatalf("hello answer = %+v, %v", env, err)
+	}
+
+	var b wire.Batch
+	if err := b.Add(wire.MsgPresenceBatch, ingestFrame("st", 1, presenceAt(wire.FormatAddr(devA), 1, 10, true))); err != nil {
+		t.Fatal(err)
+	}
+	inBatch, err := wire.MarshalBody(wire.MsgBatch, 2, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, payload := range [][]byte{
+		wire.AppendEnvelopeRaw(nil, inBatch),
+		wire.AppendEnvelope(nil, wire.MsgPresenceBatch, 3, ingestFrame("st", 2, presenceAt(wire.FormatAddr(devA), 2, 20, true))),
+	} {
+		if err := codec.SendPayloadNoFlush(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := codec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		env, err := codec.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env.Seq == 3 {
+			var ack wire.IngestAck
+			if env.Type != wire.MsgIngestAck || wire.UnmarshalBody(env, &ack) != nil || ack.Acked != 2 {
+				t.Errorf("standalone frame 2 answered %s %s, want acked 2", env.Type, env.Body)
+			}
+		}
+	}
+	if acked, _ := s.Ingest().Acked("st"); acked != 2 {
+		t.Fatalf("session acked = %d, want 2", acked)
 	}
 }

@@ -7,7 +7,8 @@
 // The same business-logic methods back two transports: the wire protocol
 // over TCP (the Ethernet LAN of the paper, v1 newline-JSON or v2
 // length-prefixed frames, sniffed per connection) and direct in-process
-// calls used by the simulation and the examples.
+// calls used by the simulation and the examples; either way presence
+// deltas reach the location store only as ApplyBatch frames.
 //
 // # Connection pipeline
 //
@@ -22,7 +23,8 @@
 // idle. Responses therefore may arrive out of request order — the
 // envelope Seq is the correlation id that ties them back together —
 // which is what lets one slow navigation query overlap hundreds of cheap
-// presence deltas on the same persistent connection. Business state is
+// presence deltas on the same persistent connection; ingest frames
+// alone apply in arrival order (see turn). Business state is
 // safe under this concurrency: the registry and the sharded location
 // database carry their own locks and the building is immutable after
 // construction.
@@ -90,12 +92,6 @@ func WithFlushBytes(n int) Option {
 	}
 }
 
-// WithIngestOptions passes options through to the ingest pipeline
-// (reorder window, gap wait, session limit).
-func WithIngestOptions(opts ...ingest.Option) Option {
-	return func(s *Server) { s.ingestOpts = append(s.ingestOpts, opts...) }
-}
-
 // WithSyncFanout makes the fan-out tree deliver subscriber callbacks
 // inline on the goroutine that applied the presence delta, instead of
 // the default staged delivery goroutine. In-process deployments (the
@@ -126,8 +122,7 @@ type Server struct {
 
 	// ingest is the sessioned workstation write path (hello / batch /
 	// ack); see internal/ingest and docs/PROTOCOL.md section 8.
-	ingest     *ingest.Pipeline
-	ingestOpts []ingest.Option
+	ingest *ingest.Pipeline
 
 	// analytics is the room → presence-interval index behind the
 	// contact-tracing, occupancy and dwell queries; like the fan-out
@@ -218,7 +213,7 @@ func New(reg *registry.Registry, db locdb.Store, bld *building.Building, opts ..
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.ingest = ingest.NewPipeline(db, s.resolveDelta, s.ingestOpts...)
+	s.ingest = ingest.NewPipeline(db, s.resolveDelta)
 	// Feed every location delta into the fan-out tree exactly once —
 	// batched, through the sink interface, so a whole ingest frame
 	// reaches the tree as one PublishBatch — and prime the tree's room
@@ -291,9 +286,9 @@ func (s *Server) Logout(req wire.Logout) error {
 }
 
 // resolveDelta is the per-delta business validation shared by the
-// single-delta path (ApplyPresence) and the batched ingest pipeline: it
-// parses the device address, checks the room against the building, and
-// reports untracked devices (not logged in) as skip-silently.
+// ingest pipeline and the wire presence message: it parses the device
+// address, checks the room against the building, and reports untracked
+// devices (not logged in) as skip-silently.
 func (s *Server) resolveDelta(p wire.Presence) (locdb.Mutation, bool, error) {
 	dev, err := wire.ParseAddr(p.Device)
 	if err != nil {
@@ -313,23 +308,6 @@ func (s *Server) resolveDelta(p wire.Presence) (locdb.Mutation, bool, error) {
 		op = locdb.MutAbsence
 	}
 	return locdb.Mutation{Op: op, Dev: dev, Piconet: p.Room, At: p.At}, true, nil
-}
-
-// ApplyPresence applies a workstation's presence/absence delta.
-func (s *Server) ApplyPresence(p wire.Presence) error {
-	m, track, err := s.resolveDelta(p)
-	if err != nil {
-		return err
-	}
-	if !track {
-		return nil
-	}
-	if m.Op == locdb.MutPresence {
-		s.db.SetPresence(m.Dev, m.Piconet, m.At)
-	} else {
-		s.db.SetAbsence(m.Dev, m.Piconet, m.At)
-	}
-	return nil
 }
 
 // Locate runs the paper's spatio-temporal query with its access checks:
@@ -688,6 +666,8 @@ func (s *Server) ServeConn(conn io.ReadWriter) {
 	// takes the buffer with it (the handler releases it) and the reader
 	// replaces its own from the pool.
 	readBuf := wire.GetBuf()
+	// last is the done channel of the newest frame handed a turn.
+	var last chan struct{}
 	for {
 		var env wire.Envelope
 		var err error
@@ -702,8 +682,13 @@ func (s *Server) ServeConn(conn io.ReadWriter) {
 			break
 		}
 		if inlineRead(env.Type) {
-			out <- s.handle(cs, env)
+			out <- s.handle(cs, turn{}, env)
 			continue
+		}
+		var t turn
+		if env.Type == wire.MsgPresenceBatch || env.Type == wire.MsgBatch {
+			t = turn{prev: last, done: make(chan struct{})}
+			last = t.done
 		}
 		reqBuf := readBuf
 		readBuf = wire.GetBuf()
@@ -712,7 +697,7 @@ func (s *Server) ServeConn(conn io.ReadWriter) {
 		go func(env wire.Envelope) {
 			defer handlers.Done()
 			defer func() { <-sem }()
-			resp := s.handle(cs, env)
+			resp := s.handle(cs, t, env)
 			// dispatch decoded everything it needs out of env.Body, so
 			// the request buffer can go back.
 			reqBuf.Release()
@@ -731,15 +716,36 @@ func (s *Server) ServeConn(conn io.ReadWriter) {
 // handle executes one request, on the reader goroutine (inlineRead) or
 // a handler goroutine, and returns the encoded response in a pooled
 // frame the caller hands to the writer queue.
-func (s *Server) handle(cs *connSubs, env wire.Envelope) *wire.Buf {
+func (s *Server) handle(cs *connSubs, t turn, env wire.Envelope) *wire.Buf {
 	if s.beforeHandle != nil {
 		s.beforeHandle(env.Type)
 	}
 	start := time.Now()
 	resp := wire.GetBuf()
-	resp.B = s.dispatch(cs, env, resp.B)
+	resp.B = s.dispatch(cs, t, env, resp.B)
 	s.latency.ObserveDuration(time.Since(start))
 	return resp
+}
+
+// turn orders a connection's presence-writing frames (presence.batch,
+// and batch, which may carry one): the reader hands each the previous
+// one's done channel as prev and a fresh done. The handler decodes
+// concurrently, then takes the turn (waits on prev) before applying and
+// releases it (closes done) after, on every path — decode errors
+// included — so frames apply in arrival order. The zero turn orders
+// nothing.
+type turn struct{ prev, done chan struct{} }
+
+func (t turn) take() {
+	if t.prev != nil {
+		<-t.prev
+	}
+}
+
+func (t turn) release() {
+	if t.done != nil {
+		close(t.done)
+	}
 }
 
 // DispatchBytes executes one decoded request envelope and returns buf
@@ -749,7 +755,7 @@ func (s *Server) handle(cs *connSubs, env wire.Envelope) *wire.Buf {
 // caller-owned buffer — it is dead once the call returns. Subscription
 // management types are not supported (they need per-connection state).
 func (s *Server) DispatchBytes(env wire.Envelope, buf []byte) []byte {
-	return s.dispatch(nil, env, buf)
+	return s.dispatch(nil, turn{}, env, buf)
 }
 
 // dispatch executes one request envelope and appends the encoded
@@ -759,12 +765,13 @@ func (s *Server) DispatchBytes(env wire.Envelope, buf []byte) []byte {
 // may alias a pooled request buffer — it is dead once this function
 // returns. cs carries the connection's subscription state; it is nil
 // inside a batch, where subscription management is not allowed (a batch
-// answers once, a subscription pushes forever).
+// answers once, a subscription pushes forever). t is the frame's turn
+// in its connection's write order (see turn).
 //
 // The hot read and ingest types are decoded and encoded through the wire
 // package's zero-allocation paths; everything else goes through
 // encoding/json, which costs what it always did.
-func (s *Server) dispatch(cs *connSubs, env wire.Envelope, buf []byte) []byte {
+func (s *Server) dispatch(cs *connSubs, t turn, env wire.Envelope, buf []byte) []byte {
 	if c, ok := s.reqCount[env.Type]; ok {
 		c.Inc()
 	} else {
@@ -822,10 +829,13 @@ func (s *Server) dispatch(cs *connSubs, env wire.Envelope, buf []byte) []byte {
 		return append(buf, '}')
 	case wire.MsgPresenceBatch:
 		var b wire.PresenceBatch
-		if err := wire.UnmarshalBody(env, &b); err != nil {
-			return fail(err)
+		err := wire.UnmarshalBody(env, &b)
+		var ack wire.IngestAck
+		t.take()
+		if err == nil {
+			ack, err = s.ingest.Apply(b)
 		}
-		ack, err := s.ingest.Apply(b)
+		t.release()
 		if err != nil {
 			return fail(err)
 		}
@@ -844,8 +854,12 @@ func (s *Server) dispatch(cs *connSubs, env wire.Envelope, buf []byte) []byte {
 		if err := wire.UnmarshalBody(env, &p); err != nil {
 			return fail(err)
 		}
-		if err := s.ApplyPresence(p); err != nil {
+		m, track, err := s.resolveDelta(p)
+		if err != nil {
 			return fail(err)
+		}
+		if track {
+			s.db.ApplyBatch([]locdb.Mutation{m})
 		}
 		return ok(wire.MsgOK, struct{}{})
 	case wire.MsgLogin:
@@ -969,7 +983,12 @@ func (s *Server) dispatch(cs *connSubs, env wire.Envelope, buf []byte) []byte {
 		return ok(wire.MsgStatsResult, s.StatsResult())
 	case wire.MsgBatch:
 		var b wire.Batch
-		if err := wire.UnmarshalBody(env, &b); err != nil {
+		err := wire.UnmarshalBody(env, &b)
+		// The whole batch holds the connection's turn: a presence.batch
+		// inside it is ordered against the connection's other frames.
+		t.take()
+		if err != nil {
+			t.release()
 			return fail(err)
 		}
 		// Sequential execution in request order, each inner response
@@ -987,8 +1006,9 @@ func (s *Server) dispatch(cs *connSubs, env wire.Envelope, buf []byte) []byte {
 				buf = appendError(buf, req.Seq, fmt.Errorf("%w: nested batch", wire.ErrMalformed))
 				continue
 			}
-			buf = s.dispatch(nil, req, buf)
+			buf = s.dispatch(nil, turn{}, req, buf)
 		}
+		t.release()
 		return append(buf, `]}}`...)
 	default:
 		return fail(fmt.Errorf("unknown message type %q", env.Type))

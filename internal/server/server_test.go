@@ -70,7 +70,7 @@ func TestPresenceAndLocate(t *testing.T) {
 	login(t, s, "alice", devA)
 	login(t, s, "bob", devB)
 
-	if err := s.ApplyPresence(wire.Presence{
+	if err := s.ReportDelta(wire.Presence{
 		Device: wire.FormatAddr(devB), Room: 6, At: 100, Present: true,
 	}); err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestPresenceAndLocate(t *testing.T) {
 
 func TestPresenceUnknownRoomRejected(t *testing.T) {
 	s := newServer(t)
-	err := s.ApplyPresence(wire.Presence{Device: wire.FormatAddr(devA), Room: 99, At: 1, Present: true})
+	err := s.ReportDelta(wire.Presence{Device: wire.FormatAddr(devA), Room: 99, At: 1, Present: true})
 	if !errors.Is(err, building.ErrUnknownRoom) {
 		t.Errorf("error = %v", err)
 	}
@@ -95,7 +95,7 @@ func TestPresenceUnknownRoomRejected(t *testing.T) {
 func TestPresenceAnonymousDeviceIgnored(t *testing.T) {
 	s := newServer(t)
 	// devA is not logged in: the delta is dropped without error.
-	if err := s.ApplyPresence(wire.Presence{
+	if err := s.ReportDelta(wire.Presence{
 		Device: wire.FormatAddr(devA), Room: 3, At: 1, Present: true,
 	}); err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestLogoutDropsLocation(t *testing.T) {
 	s := newServer(t)
 	login(t, s, "alice", devA)
 	login(t, s, "bob", devB)
-	if err := s.ApplyPresence(wire.Presence{
+	if err := s.ReportDelta(wire.Presence{
 		Device: wire.FormatAddr(devB), Room: 6, At: 1, Present: true,
 	}); err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestPathQuery(t *testing.T) {
 		{Device: wire.FormatAddr(devA), Room: 1, At: 10, Present: true},
 		{Device: wire.FormatAddr(devB), Room: 10, At: 20, Present: true},
 	} {
-		if err := s.ApplyPresence(p); err != nil {
+		if err := s.ReportDelta(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,7 +157,7 @@ func TestPathRequiresBothPositions(t *testing.T) {
 	if _, err := s.Path(wire.PathQuery{Querier: "alice", Target: "bob"}); err == nil {
 		t.Error("path without querier position succeeded")
 	}
-	if err := s.ApplyPresence(wire.Presence{
+	if err := s.ReportDelta(wire.Presence{
 		Device: wire.FormatAddr(devA), Room: 1, At: 10, Present: true,
 	}); err != nil {
 		t.Fatal(err)

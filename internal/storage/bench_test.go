@@ -30,7 +30,7 @@ func BenchmarkLocdbDelta(b *testing.B) {
 	run := func(b *testing.B, s locdb.Store) {
 		// Pre-populate so every delta is a real move over warm state.
 		for i := 0; i < devices; i++ {
-			s.SetPresence(baseband.BDAddr(0xB000_0000_0001+uint64(i)), graph.NodeID(i%rooms), 0)
+			present(s, baseband.BDAddr(0xB000_0000_0001+uint64(i)), graph.NodeID(i%rooms), 0)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -38,7 +38,7 @@ func BenchmarkLocdbDelta(b *testing.B) {
 			// Advance the room on every revisit so the delta is a real
 			// move (map + history mutation), never the unchanged no-op.
 			room := graph.NodeID((i + i/devices) % rooms)
-			s.SetPresence(dev, room, sim.Tick(i+1))
+			present(s, dev, room, sim.Tick(i+1))
 		}
 		b.StopTimer()
 	}
@@ -109,7 +109,7 @@ func BenchmarkLocdbHistoryQueries(b *testing.B) {
 	for i := 0; i < devices; i++ {
 		dev := baseband.BDAddr(0xB000_0000_0001 + uint64(i))
 		for m := 0; m < locdb.DefaultHistoryLimit; m++ {
-			db.SetPresence(dev, graph.NodeID(m%32), sim.Tick(10*m))
+			present(db, dev, graph.NodeID(m%32), sim.Tick(10*m))
 		}
 	}
 	b.Run("locateAt", func(b *testing.B) {

@@ -69,6 +69,10 @@ const (
 	// DefaultSnapshotInterval bounds recovery time: at most one
 	// interval's worth of WAL is ever replayed on restart.
 	DefaultSnapshotInterval = 30 * time.Second
+
+	// replayBatch bounds one recovery ApplyBatch call, so replaying a
+	// long WAL never holds more than one batch of mutations in memory.
+	replayBatch = 4096
 )
 
 // Options configures Open.
@@ -216,6 +220,25 @@ func Open(opts Options) (*Durable, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Replay takes the live write path: runs of presence/absence records
+	// enter through ApplyBatch, and a drop record first applies the run
+	// before it, so the drop sees every earlier mutation of its device.
+	var run []locdb.Mutation
+	replay := func(r record) {
+		if r.op == opDrop || len(run) == replayBatch {
+			mem.ApplyBatch(run)
+			run = run[:0]
+		}
+		op := locdb.MutPresence
+		switch r.op {
+		case opDrop:
+			mem.Drop(r.dev)
+			return
+		case opAbsence:
+			op = locdb.MutAbsence
+		}
+		run = append(run, locdb.Mutation{Op: op, Dev: r.dev, Piconet: r.room, At: r.at})
+	}
 	nextSeq := coveredSeq + 1
 	for _, seq := range segs {
 		if seq >= nextSeq {
@@ -224,21 +247,13 @@ func Open(opts Options) (*Durable, error) {
 		if seq <= coveredSeq {
 			continue // already reflected in the checkpoint
 		}
-		n, err := replaySegment(segPath(opts.Dir, seq), func(r record) {
-			switch r.op {
-			case opPresence:
-				mem.SetPresence(r.dev, r.room, r.at)
-			case opAbsence:
-				mem.SetAbsence(r.dev, r.room, r.at)
-			case opDrop:
-				mem.Drop(r.dev)
-			}
-		})
+		n, err := replaySegment(segPath(opts.Dir, seq), replay)
 		if err != nil {
 			return nil, err
 		}
 		d.replayedRecs += int64(n)
 	}
+	mem.ApplyBatch(run)
 
 	w, err := openWAL(opts.Dir, nextSeq, opts.Fsync)
 	if err != nil {
@@ -392,16 +407,6 @@ func (d *Durable) snapshotLoop(interval time.Duration) {
 
 // --- Store interface (mutations journal through the hook) -----------------
 
-// SetPresence applies the delta; the journal hook makes it durable.
-func (d *Durable) SetPresence(dev baseband.BDAddr, piconet graph.NodeID, at sim.Tick) bool {
-	return d.mem.SetPresence(dev, piconet, at)
-}
-
-// SetAbsence applies the delta; the journal hook makes it durable.
-func (d *Durable) SetAbsence(dev baseband.BDAddr, piconet graph.NodeID, at sim.Tick) bool {
-	return d.mem.SetAbsence(dev, piconet, at)
-}
-
 // Drop erases the device in memory and on disk.
 func (d *Durable) Drop(dev baseband.BDAddr) bool { return d.mem.Drop(dev) }
 
@@ -450,11 +455,8 @@ func (d *Durable) Stats() locdb.Stats { return d.mem.Stats() }
 // NumShards reports the memory store's shard count.
 func (d *Durable) NumShards() int { return d.mem.NumShards() }
 
-// Subscribe registers fn for every presence change.
-func (d *Durable) Subscribe(fn func(locdb.Event)) (cancel func()) { return d.mem.Subscribe(fn) }
-
-// SubscribeSink registers a batch-capable delta consumer; whole ingest
-// frames reach it as one OnEvents call.
+// SubscribeSink registers a delta consumer; each ApplyBatch frame
+// reaches it as one OnEvents call.
 func (d *Durable) SubscribeSink(s locdb.Sink) (cancel func()) { return d.mem.SubscribeSink(s) }
 
 // --- Durability operations ------------------------------------------------

@@ -56,6 +56,21 @@ func sameState(t *testing.T, want, got locdb.Store) {
 	}
 }
 
+// present and absent apply one delta as a one-mutation frame through
+// ApplyBatch, the store's only write path.
+func present(s locdb.Store, dev baseband.BDAddr, room graph.NodeID, at sim.Tick) {
+	s.ApplyBatch([]locdb.Mutation{{Op: locdb.MutPresence, Dev: dev, Piconet: room, At: at}})
+}
+
+func absent(s locdb.Store, dev baseband.BDAddr, room graph.NodeID, at sim.Tick) {
+	s.ApplyBatch([]locdb.Mutation{{Op: locdb.MutAbsence, Dev: dev, Piconet: room, At: at}})
+}
+
+// eventCount is a locdb.Sink counting the events it is handed.
+type eventCount int
+
+func (c *eventCount) OnEvents(evs []locdb.Event) { *c += eventCount(len(evs)) }
+
 // applyScript walks devices through a deterministic move/absence/drop
 // sequence and returns the store for chaining.
 func applyScript(s locdb.Store, steps int) {
@@ -65,13 +80,13 @@ func applyScript(s locdb.Store, steps int) {
 		at := sim.Tick(i)
 		switch i % 9 {
 		case 7:
-			s.SetAbsence(dev, room, at)
+			absent(s, dev, room, at)
 		case 8:
 			if i%27 == 8 {
 				s.Drop(dev)
 			}
 		default:
-			s.SetPresence(dev, room, at)
+			present(s, dev, room, at)
 		}
 	}
 }
@@ -201,11 +216,11 @@ func TestUnflushedWritesLost(t *testing.T) {
 	opts := testOpts(dir)
 	opts.FlushInterval = time.Hour // flusher never fires on its own
 	d := mustOpen(t, opts)
-	d.SetPresence(1, 1, 10)
+	present(d, 1, 1, 10)
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	d.SetPresence(2, 2, 20) // never synced
+	present(d, 2, 2, 20) // never synced
 	d.crash()
 
 	re := mustOpen(t, testOpts(dir))
@@ -236,9 +251,9 @@ func TestConcurrentLoadCrashRecovery(t *testing.T) {
 				room := graph.NodeID((i + w) % 9)
 				switch i % 11 {
 				case 10:
-					d.SetAbsence(dev, room, sim.Tick(i))
+					absent(d, dev, room, sim.Tick(i))
 				default:
-					d.SetPresence(dev, room, sim.Tick(i))
+					present(d, dev, room, sim.Tick(i))
 				}
 				if i%13 == 0 {
 					d.Locate(dev)
@@ -351,10 +366,10 @@ func TestDurableIsAStore(t *testing.T) {
 	}
 
 	// Events flow through the durable wrapper too.
-	got := 0
-	cancel := d.Subscribe(func(locdb.Event) { got++ })
+	var got eventCount
+	cancel := d.SubscribeSink(&got)
 	defer cancel()
-	d.SetPresence(0xF0F0, 1, 1)
+	present(d, 0xF0F0, 1, 1)
 	if got != 1 {
 		t.Fatalf("subscriber saw %d events, want 1", got)
 	}
@@ -393,7 +408,7 @@ func TestFailedWALIsReported(t *testing.T) {
 	d := mustOpen(t, testOpts(dir))
 	defer d.crash()
 	d.Logf = t.Logf
-	d.SetPresence(1, 1, 10)
+	present(d, 1, 1, 10)
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +416,7 @@ func TestFailedWALIsReported(t *testing.T) {
 	d.walMu.Lock()
 	d.wal.f.Close()
 	d.walMu.Unlock()
-	d.SetPresence(2, 2, 20)
+	present(d, 2, 2, 20)
 	if err := d.Sync(); err == nil {
 		t.Fatal("Sync on a broken WAL reported success")
 	}

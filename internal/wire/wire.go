@@ -378,10 +378,12 @@ func MarshalBody(t MsgType, seq uint64, body any) (Envelope, error) {
 	return Envelope{Type: t, Seq: seq, Body: raw}, nil
 }
 
-// UnmarshalBody decodes an envelope body into out.
+// UnmarshalBody decodes an envelope body into out. A body that does not
+// decode is a malformed message (ErrMalformed), which the server
+// answers with bad-request.
 func UnmarshalBody(env Envelope, out any) error {
 	if err := json.Unmarshal(env.Body, out); err != nil {
-		return fmt.Errorf("wire: unmarshal %s: %w", env.Type, err)
+		return fmt.Errorf("%w: unmarshal %s: %w", ErrMalformed, env.Type, err)
 	}
 	return nil
 }

@@ -9,33 +9,7 @@ import (
 	"bips/internal/hci"
 	"bips/internal/radio"
 	"bips/internal/sim"
-	"bips/internal/wire"
 )
-
-// batchRecorder records batch flushes and, separately, any per-delta
-// fallback reports.
-type batchRecorder struct {
-	batches [][]wire.Presence
-	singles []wire.Presence
-}
-
-func (r *batchRecorder) Report(p wire.Presence) error {
-	r.singles = append(r.singles, p)
-	return nil
-}
-
-func (r *batchRecorder) ReportBatch(deltas []wire.Presence) error {
-	r.batches = append(r.batches, deltas)
-	return nil
-}
-
-func (r *batchRecorder) all() []wire.Presence {
-	var out []wire.Presence
-	for _, b := range r.batches {
-		out = append(out, b...)
-	}
-	return append(out, r.singles...)
-}
 
 // runTrackingSim drives a small cell with moving devices and returns
 // the reporter's observed delta stream plus the workstation stats.
@@ -73,17 +47,14 @@ func TestBatchedStreamMatchesUnbatched(t *testing.T) {
 	plain := &recorder{}
 	runTrackingSim(t, 11, Config{Room: 4}, plain)
 
-	batched := &batchRecorder{}
+	batched := &recorder{}
 	st := runTrackingSim(t, 11, Config{Room: 4, BatchMax: 4, BatchDelay: 5 * sim.TicksPerSecond}, batched)
 
 	if len(plain.reports) == 0 {
 		t.Fatal("simulation produced no deltas; test is vacuous")
 	}
-	if len(batched.singles) != 0 {
-		t.Errorf("BatchReporter received %d per-delta reports, want 0", len(batched.singles))
-	}
-	if !reflect.DeepEqual(batched.all(), plain.reports) {
-		t.Errorf("batched stream diverges:\nbatched: %+v\nplain:   %+v", batched.all(), plain.reports)
+	if !reflect.DeepEqual(batched.reports, plain.reports) {
+		t.Errorf("batched stream diverges:\nbatched: %+v\nplain:   %+v", batched.reports, plain.reports)
 	}
 	if st.Batches == 0 || st.Batches != len(batched.batches) {
 		t.Errorf("stats.Batches = %d, recorder saw %d", st.Batches, len(batched.batches))
@@ -101,7 +72,7 @@ func TestBatchedStreamMatchesUnbatched(t *testing.T) {
 // TestBatchFlushDeterminism: the same seed must cut byte-identical
 // batches — the property station resume-by-sequence relies on.
 func TestBatchFlushDeterminism(t *testing.T) {
-	a, b := &batchRecorder{}, &batchRecorder{}
+	a, b := &recorder{}, &recorder{}
 	cfg := Config{Room: 4, BatchMax: 3, BatchDelay: 7 * sim.TicksPerSecond}
 	runTrackingSim(t, 23, cfg, a)
 	runTrackingSim(t, 23, cfg, b)
@@ -110,18 +81,23 @@ func TestBatchFlushDeterminism(t *testing.T) {
 	}
 }
 
-// TestBatchFallbackToPlainReporter: with a batch policy but a plain
-// Reporter, deltas still arrive one by one, in order.
-func TestBatchFallbackToPlainReporter(t *testing.T) {
+// TestUnbatchedFramesHoldOneDelta: without a batch policy every delta
+// is reported at once, as a frame of its own, and a batch policy
+// regroups the same stream without reordering it.
+func TestUnbatchedFramesHoldOneDelta(t *testing.T) {
 	plain := &recorder{}
-	runTrackingSim(t, 31, Config{Room: 4}, plain)
+	st := runTrackingSim(t, 31, Config{Room: 4}, plain)
 	buffered := &recorder{}
 	runTrackingSim(t, 31, Config{Room: 4, BatchMax: 8}, buffered)
 	if len(plain.reports) == 0 {
 		t.Fatal("no deltas; test is vacuous")
 	}
+	if len(plain.batches) != len(plain.reports) || st.Batches != len(plain.batches) {
+		t.Errorf("unbatched run reported %d frames for %d deltas (stats.Batches %d), want one frame per delta",
+			len(plain.batches), len(plain.reports), st.Batches)
+	}
 	if !reflect.DeepEqual(buffered.reports, plain.reports) {
-		t.Errorf("fallback stream diverges:\nbuffered: %+v\nplain:    %+v", buffered.reports, plain.reports)
+		t.Errorf("buffered stream diverges:\nbuffered: %+v\nplain:    %+v", buffered.reports, plain.reports)
 	}
 }
 

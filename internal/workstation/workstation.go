@@ -30,24 +30,11 @@ func PaperCycle() inquiry.DutyCycle {
 	}
 }
 
-// Reporter receives presence deltas. The live system sends them to the
-// central server over the LAN; simulations may apply them directly.
+// Reporter receives presence deltas, one ingest frame per call: a
+// flushed batch, or a single delta when the workstation does not batch.
+// A station streams the frames over the LAN (ingest.Client); the
+// in-process deployment applies them through the server's pipeline.
 type Reporter interface {
-	Report(p wire.Presence) error
-}
-
-// ReporterFunc adapts a function to Reporter.
-type ReporterFunc func(p wire.Presence) error
-
-// Report implements Reporter.
-func (f ReporterFunc) Report(p wire.Presence) error { return f(p) }
-
-// BatchReporter is a Reporter that additionally accepts whole delta
-// batches — one call is one sequenced ingest frame (ingest.Client
-// implements it). A workstation with a batch flush policy prefers it;
-// plain Reporters receive the batch delta by delta.
-type BatchReporter interface {
-	Reporter
 	ReportBatch(deltas []wire.Presence) error
 }
 
@@ -60,8 +47,8 @@ type Config struct {
 	Cycle inquiry.DutyCycle
 	// BatchMax, when > 0, buffers presence deltas and flushes them as a
 	// batch once BatchMax are pending — the ingest write path's
-	// max-batch policy. 0 reports every delta immediately (the
-	// pre-ingest behavior).
+	// max-batch policy. 0 reports every delta immediately, as a frame
+	// of its own.
 	BatchMax int
 	// BatchDelay bounds how long a buffered delta may wait before a
 	// partial batch is flushed anyway (the max-delay policy), driven by
@@ -78,7 +65,7 @@ type Stats struct {
 	Enrollments  int
 	Departures   int
 	ReportErrors int
-	// Batches counts flushed delta batches (0 when unbuffered).
+	// Batches counts reported frames (one per delta when unbuffered).
 	Batches int
 	// Buffered is the number of deltas currently awaiting flush.
 	Buffered int
@@ -252,30 +239,24 @@ func (w *Workstation) connectNext() {
 	}
 }
 
+// report buffers one delta and flushes on max-batch; unbatched
+// (BatchMax 0), every delta is flushed at once as a frame of its own.
 func (w *Workstation) report(addr baseband.BDAddr, present bool, at sim.Tick) {
-	p := wire.Presence{
+	w.buf = append(w.buf, wire.Presence{
 		Device:  wire.FormatAddr(addr),
 		Room:    w.cfg.Room,
 		At:      at,
 		Present: present,
-	}
-	if w.cfg.BatchMax > 0 {
-		w.buf = append(w.buf, p)
-		if len(w.buf) >= w.cfg.BatchMax {
-			w.FlushBatch()
-		}
-		return
-	}
-	if err := w.reporter.Report(p); err != nil {
-		w.stats.ReportErrors++
+	})
+	if len(w.buf) >= w.cfg.BatchMax {
+		w.FlushBatch()
 	}
 }
 
-// FlushBatch hands the buffered deltas to the reporter as one batch (a
-// BatchReporter gets them in one call — one ingest frame; a plain
-// Reporter gets them delta by delta, preserving order). It is invoked
-// on max-batch, on the max-delay tick, and on Stop; callers may also
-// flush explicitly at deterministic points of their own.
+// FlushBatch hands the buffered deltas to the reporter in one call —
+// one ingest frame. It is invoked on max-batch, on the max-delay tick,
+// and on Stop; callers may also flush explicitly at deterministic
+// points of their own.
 func (w *Workstation) FlushBatch() {
 	if len(w.buf) == 0 {
 		return
@@ -283,15 +264,7 @@ func (w *Workstation) FlushBatch() {
 	batch := w.buf
 	w.buf = nil
 	w.stats.Batches++
-	if br, ok := w.reporter.(BatchReporter); ok {
-		if err := br.ReportBatch(batch); err != nil {
-			w.stats.ReportErrors++
-		}
-		return
-	}
-	for _, p := range batch {
-		if err := w.reporter.Report(p); err != nil {
-			w.stats.ReportErrors++
-		}
+	if err := w.reporter.ReportBatch(batch); err != nil {
+		w.stats.ReportErrors++
 	}
 }

@@ -16,16 +16,20 @@ import (
 	"bips/internal/wire"
 )
 
+// recorder records every frame a workstation reports, and the deltas
+// they carry, in order.
 type recorder struct {
+	batches [][]wire.Presence
 	reports []wire.Presence
 	fail    bool
 }
 
-func (r *recorder) Report(p wire.Presence) error {
+func (r *recorder) ReportBatch(deltas []wire.Presence) error {
 	if r.fail {
 		return errors.New("recorder: injected failure")
 	}
-	r.reports = append(r.reports, p)
+	r.batches = append(r.batches, deltas)
+	r.reports = append(r.reports, deltas...)
 	return nil
 }
 
