@@ -35,10 +35,9 @@
 // with password "loadgen" that the benchmark harness (bench/) logs in
 // and moves around. Clients may also subscribe to push notifications
 // (PROTOCOL.md §9): -event-buffer, -drop-limit and -max-subs bound what
-// one subscriber connection may cost the server. -fanout-ring sizes the
-// staged delivery ring between ingest and subscriber callbacks, and
-// -pprof serves net/http/pprof on a side address so fan-out contention
-// is profileable under load. -flush-bytes bounds how much a connection
+// one subscriber connection may cost the server, and -pprof serves
+// net/http/pprof on a side address so fan-out contention is
+// profileable under load. -flush-bytes bounds how much a connection
 // writer may stage before forcing a flush — the flush-coalescing knob;
 // its effect shows up in the wire.flushes / wire.frames_per_flush
 // counters of the stats output. Tuning guidance lives in
@@ -67,7 +66,6 @@ import (
 	"bips"
 	"bips/internal/analytics"
 	"bips/internal/building"
-	"bips/internal/fanout"
 	"bips/internal/loadgen"
 	"bips/internal/locdb"
 	"bips/internal/registry"
@@ -110,7 +108,6 @@ func run(args []string) error {
 	eventBuffer := fs.Int("event-buffer", server.DefaultEventBuffer, "per-connection push-event buffer (queued events before drops)")
 	dropLimit := fs.Int("drop-limit", server.DefaultDropLimit, "dropped events before a subscriber is disconnected as a slow consumer")
 	maxSubs := fs.Int("max-subs", server.DefaultMaxSubsPerConn, "max subscriptions per connection")
-	fanoutRing := fs.Int("fanout-ring", fanout.DefaultRing, "staged fan-out delivery ring capacity (matched events queued between ingest and subscriber callbacks)")
 	flushBytes := fs.Int("flush-bytes", server.DefaultFlushBytes, "max bytes a connection writer stages before forcing a flush (lower bounds latency, higher amortizes more frames per write)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (empty: disabled)")
 	addrFile := fs.String("addr-file", "", "write the bound listen address to this file (for scripts using :0)")
@@ -171,7 +168,6 @@ func run(args []string) error {
 		server.WithEventBuffer(*eventBuffer),
 		server.WithDropLimit(*dropLimit),
 		server.WithMaxSubsPerConn(*maxSubs),
-		server.WithFanoutRing(*fanoutRing),
 		server.WithFlushBytes(*flushBytes),
 	}
 	eng, err := openAnalytics(*dataDir, *historyLimit, *analyticsSeal, *analyticsRetention)

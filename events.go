@@ -120,8 +120,9 @@ func (h *eventHub) publish(e Event) {
 // Subscribe returns a subscription to the deployment's event stream:
 // logins, logouts, and the presence deltas (EventUserEntered,
 // EventUserLeft) flowing from the workstations into the location
-// database. Events carry simulated timestamps and are emitted
-// synchronously as the simulation produces them, so a Run call fills the
+// database. Events carry simulated timestamps. Presence events are
+// delivered by the fan-out tree's delivery goroutine, and every Run
+// waits for that delivery before it returns, so a Run call fills the
 // buffer which the caller drains between (or concurrently with) runs.
 // Close the subscription when done.
 func (s *Service) Subscribe() *Subscription {
@@ -131,8 +132,10 @@ func (s *Service) Subscribe() *Subscription {
 // onNotification translates a fan-out notification into a public event.
 // The Service rides the server's fan-out tree with a catch-all filter,
 // so in-process subscribers observe the same enter/leave sequence, in
-// the same order, as wire-level subscribers. It runs inside the fan-out
-// delivery path, on whatever goroutine applied the presence delta.
+// the same order, as wire-level subscribers. It runs on the tree's
+// delivery goroutine; the simulation's Run and Logout wait for it before
+// they release the system lock, so the UserOf lookup below always sees
+// the binding the delta was applied under.
 func (s *Service) onNotification(e fanout.Event) {
 	var typ EventType
 	switch e.Kind {

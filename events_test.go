@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -110,8 +109,9 @@ func TestEventTimestampsMonotonic(t *testing.T) {
 // TestEventStreamGolden pins the in-process deployment's event stream
 // for one fixed-seed run — logins, every enter/leave the workstations'
 // deltas produce, and a logout mid-run — byte for byte against the
-// committed golden file, so a change to the write path that reorders,
-// drops or retimes a delta is caught.
+// committed golden file, in arrival order, so a change to the write path
+// or the fan-out delivery stage that reorders, drops or retimes a delta
+// is caught.
 func TestEventStreamGolden(t *testing.T) {
 	svc, err := New(WithSeed(11))
 	if err != nil {
@@ -144,15 +144,6 @@ func TestEventStreamGolden(t *testing.T) {
 	if sub.Dropped() != 0 {
 		t.Fatalf("subscription dropped %d events", sub.Dropped())
 	}
-	// Links that time out at the same supervision tick disconnect in map
-	// order, so only one user's events are ordered within an instant;
-	// compare them by (time, user), keeping each user's own order.
-	sort.SliceStable(events, func(i, j int) bool {
-		if events[i].At != events[j].At {
-			return events[i].At < events[j].At
-		}
-		return events[i].User < events[j].User
-	})
 	var sb strings.Builder
 	for _, e := range events {
 		fmt.Fprintf(&sb, "%s %s %q %v\n", e.Type, e.User, e.RoomName, e.At)

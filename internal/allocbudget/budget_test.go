@@ -43,7 +43,7 @@ var budgets = map[string]float64{
 	"ingest_apply": 8,
 	// One presence change reported as a one-delta ingest frame (the
 	// in-process deployment's write path), pushed through locdb notify,
-	// the fan-out tree, the connection pusher (pooled pre-encoded
+	// the fan-out tree, the connection writer (pooled pre-encoded
 	// frame), and received by a raw frame codec into a reused buffer.
 	"fanout_event_push": 8,
 	// One 64-event ApplyBatch frame through the staged fan-out tree's

@@ -220,6 +220,7 @@ func TestParityWithPerDeviceLogs(t *testing.T) {
 			t.Fatal(err)
 		}
 		tree := fanout.New()
+		defer tree.Close()
 		db.SubscribeSink(e)
 		db.SubscribeSink(tree)
 		e.Seed(db.Dump())

@@ -179,11 +179,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	// cadence) gets a system-owned analytics engine; segments live next
 	// to the WAL so a reopened deployment keeps its sealed history.
 	// Otherwise the server builds its own memory-only engine.
-	// The in-process facade consumes its event stream synchronously with
-	// the simulated clock (bips.Service.Subscribe documents events as
-	// emitted as the simulation produces them), so the simulation's
-	// server keeps fan-out delivery inline rather than staged.
-	serverOpts := []server.Option{server.WithSyncFanout()}
+	var serverOpts []server.Option
 	if cfg.DataDir != "" || cfg.AnalyticsSealInterval != 0 || cfg.AnalyticsRetention != 0 {
 		aopts := analytics.Options{
 			HistoryLimit: historyLimit,
@@ -322,6 +318,9 @@ func (s *System) Logout(id registry.UserID, notify func(at sim.Tick)) error {
 	if err := s.Server.Logout(wire.Logout{User: string(id)}); err != nil {
 		return err
 	}
+	// The logout's drop leaves the fan-out tree like any delta; deliver
+	// it before the lock opens, as Run does.
+	s.Server.Fanout().Flush()
 	if notify != nil {
 		notify(s.Kernel.Now())
 	}
@@ -513,6 +512,12 @@ const runChunk = sim.TicksPerSecond
 // stepping goroutine; queries may run concurrently from any number of
 // other goroutines. Chunking does not change the event order, so results
 // are identical with or without concurrent readers.
+//
+// Each chunk ends with a fan-out barrier before the lock is released:
+// every subscriber callback for the chunk's deltas has run, so an
+// in-process subscriber has its events once Run returns, and a later
+// Logout cannot unbind a device before the callbacks for its earlier
+// deltas resolved the user.
 func (s *System) Run(d sim.Tick) {
 	s.mu.Lock()
 	target := s.Kernel.Now() + d
@@ -527,6 +532,7 @@ func (s *System) Run(d sim.Tick) {
 			limit = c
 		}
 		s.Kernel.RunUntil(limit)
+		s.Server.Fanout().Flush()
 		// Release briefly so pending readers get a turn.
 		s.mu.Unlock()
 		s.mu.Lock()

@@ -1,7 +1,6 @@
 package fanout
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -50,62 +49,49 @@ func benchEvents(evs []locdb.Event, devs, rooms, round int) {
 }
 
 // BenchmarkFanoutPublishBatch measures the write-path cost of feeding
-// the subscription index, per event, across the two delivery modes and
-// the two publish shapes:
+// the subscription index, per event: matching and enqueue only, since
+// callbacks run on the delivery goroutine, off the measured path (Flush
+// outside the loop bounds the backlog drain). Two publish shapes:
 //
-//   - sync: callbacks run inline on the publishing goroutine — the
-//     event cost includes every subscriber's callback (the pre-staged
-//     design's behavior).
-//   - staged: matching and enqueue only; callbacks run on the delivery
-//     goroutine, off the measured path (Flush outside the loop bounds
-//     the backlog drain).
 //   - single: one one-event PublishBatch per event (the un-batched
 //     report's shape).
 //   - batch64: one PublishBatch per 64-event frame (the ApplyBatch
 //     sink contract): one shard lock and one scratch regroup per frame.
 func BenchmarkFanoutPublishBatch(b *testing.B) {
 	const devs, rooms = 256, 16
-	for _, mode := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"sync", Config{Sync: true}},
-		{"staged", Config{}},
-	} {
-		for _, shape := range []string{"single", "batch64"} {
-			b.Run(fmt.Sprintf("%s/%s", mode.name, shape), func(b *testing.B) {
-				var delivered atomic.Int64
-				tree := benchTree(mode.cfg, devs, rooms, &delivered)
-				defer tree.Close()
-				evs := make([]locdb.Event, benchFrame)
-				// Warm the device→room view so the steady state is
-				// handovers, not first entries.
-				benchEvents(evs, devs, rooms, 0)
-				tree.PublishBatch(evs)
-				tree.Flush()
-				b.ResetTimer()
-				round := 1
-				if shape == "single" {
-					for n := 0; n < b.N; n += benchFrame {
-						benchEvents(evs, devs, rooms, round)
-						round++
-						for i := range evs {
-							tree.PublishBatch(evs[i : i+1])
-						}
-					}
-				} else {
-					for n := 0; n < b.N; n += benchFrame {
-						benchEvents(evs, devs, rooms, round)
-						round++
-						tree.PublishBatch(evs)
+	for _, shape := range []string{"single", "batch64"} {
+		b.Run("staged/"+shape, func(b *testing.B) {
+			var delivered atomic.Int64
+			tree := benchTree(Config{}, devs, rooms, &delivered)
+			defer tree.Close()
+			evs := make([]locdb.Event, benchFrame)
+			// Warm the device→room view so the steady state is
+			// handovers, not first entries.
+			benchEvents(evs, devs, rooms, 0)
+			tree.PublishBatch(evs)
+			tree.Flush()
+			b.ResetTimer()
+			round := 1
+			if shape == "single" {
+				for n := 0; n < b.N; n += benchFrame {
+					benchEvents(evs, devs, rooms, round)
+					round++
+					for i := range evs {
+						tree.PublishBatch(evs[i : i+1])
 					}
 				}
-				tree.Flush()
-				b.StopTimer()
-				if delivered.Load() == 0 {
-					b.Fatal("no deliveries")
+			} else {
+				for n := 0; n < b.N; n += benchFrame {
+					benchEvents(evs, devs, rooms, round)
+					round++
+					tree.PublishBatch(evs)
 				}
-			})
-		}
+			}
+			tree.Flush()
+			b.StopTimer()
+			if delivered.Load() == 0 {
+				b.Fatal("no deliveries")
+			}
+		})
 	}
 }

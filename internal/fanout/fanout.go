@@ -44,17 +44,16 @@
 // one lock acquisition and one state sweep per shard per frame instead
 // of per event.
 //
-// By default matching does not run the subscriber callbacks: matched
-// (event, subscriber) pairs are enqueued on a bounded in-order
-// delivery ring drained by one delivery goroutine, so the mutating
+// Matching never runs the subscriber callbacks: matched (event,
+// subscriber) pairs are enqueued on a bounded in-order delivery ring
+// drained by the tree's one delivery goroutine, so the mutating
 // goroutine's publish cost is index routing plus an enqueue, never
 // subscriber work. A full ring briefly blocks the publisher
 // (backpressure) rather than dropping — events are bounded by the
 // per-connection buffers downstream (internal/server's drop
-// accounting), not lost here. Config{Sync: true} removes the stage and
-// runs callbacks inline on the publishing goroutine, which in-process
-// consumers (the simulation facade) use to keep events synchronous
-// with the simulated clock.
+// accounting), not lost here. A consumer that needs its events in step
+// with the mutations that caused them calls Flush after mutating: the
+// simulation facade does so at the end of every simulated step chunk.
 //
 // # Delivery contract
 //
@@ -63,15 +62,15 @@
 // callback runs — the guarantee connection teardown and the race
 // tests lean on. Events of one device are delivered in publish order,
 // and the matching subscribers of one event are invoked in
-// subscription order. Callbacks run one at a time (on the delivery
-// goroutine by default, on the publishing goroutine in Sync mode),
-// MUST NOT block (hand off to a buffered channel and drop on
-// overflow, as internal/server does) and must not call back into the
-// Tree.
+// subscription order. Callbacks run one at a time on the delivery
+// goroutine, MUST NOT block (hand off to a buffered channel and drop
+// on overflow, as internal/server does) and must not call back into
+// the Tree.
 package fanout
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -97,13 +96,7 @@ type Config struct {
 	// DefaultShards.
 	Shards int
 	// Ring is the delivery ring capacity; 0 selects DefaultRing.
-	// Ignored in Sync mode.
 	Ring int
-	// Sync disables the delivery stage: callbacks run inline on the
-	// publishing goroutine, in the same order the ring would deliver
-	// them. For consumers that need events synchronous with the
-	// mutation that caused them (the in-process simulation facade).
-	Sync bool
 }
 
 // Kind selects what a Filter matches.
@@ -205,8 +198,8 @@ type Stats struct {
 	// Delivered counts callback invocations (events matched and
 	// handed to subscribers).
 	Delivered int64
-	// Backlog is the number of matched pairs sitting in the delivery
-	// ring (always 0 for a Sync tree).
+	// Backlog is the number of matched pairs enqueued on the delivery
+	// ring whose callbacks have not finished yet.
 	Backlog int
 }
 
@@ -273,18 +266,17 @@ type Tree struct {
 	published atomic.Int64
 	delivered atomic.Int64
 
-	// ring is the delivery stage; nil for a Sync tree.
+	// ring is the delivery stage between matching and the callbacks.
 	ring    *deliveryRing
 	scratch sync.Pool
 }
 
-// New returns an empty synchronous tree: callbacks run inline on the
-// publishing goroutine. Serving deployments use NewWithConfig to put
-// the delivery stage between matching and the callbacks.
-func New() *Tree { return NewWithConfig(Config{Sync: true}) }
+// New returns an empty tree with the default configuration. It owns a
+// delivery goroutine; Close releases it.
+func New() *Tree { return NewWithConfig(Config{}) }
 
-// NewWithConfig returns an empty tree. Unless cfg.Sync is set it owns
-// a delivery goroutine; Close releases it.
+// NewWithConfig returns an empty tree. It owns a delivery goroutine;
+// Close releases it.
 func NewWithConfig(cfg Config) *Tree {
 	nShards := cfg.Shards
 	if nShards < 1 {
@@ -304,14 +296,12 @@ func NewWithConfig(cfg Config) *Tree {
 	}
 	t.occ.occupancy = make(map[graph.NodeID]int)
 	t.occ.watchers = make(map[graph.NodeID]map[uint64]*sub)
-	if !cfg.Sync {
-		ringSize := cfg.Ring
-		if ringSize < 1 {
-			ringSize = DefaultRing
-		}
-		t.ring = newDeliveryRing(ringSize)
-		go t.ring.run(t)
+	ringSize := cfg.Ring
+	if ringSize < 1 {
+		ringSize = DefaultRing
 	}
+	t.ring = newDeliveryRing(ringSize)
+	go t.ring.run(t)
 	return t
 }
 
@@ -337,24 +327,15 @@ func (t *Tree) roomOf(room graph.NodeID) *roomShard {
 }
 
 // Close stops the delivery stage after draining everything already
-// enqueued. A Sync tree's Close is a no-op. Publishes racing or
-// following Close fall back to inline delivery, so no event is lost;
-// quiesce publishers first if delivery-order matters at shutdown.
-func (t *Tree) Close() {
-	if t.ring != nil {
-		t.ring.close()
-	}
-}
+// enqueued. Publishes racing or following Close fall back to inline
+// delivery, so no event is lost; quiesce publishers first if
+// delivery-order matters at shutdown.
+func (t *Tree) Close() { t.ring.close() }
 
 // Flush blocks until every matched pair enqueued before the call has
-// been handed to its callback (or skipped as cancelled). A Sync tree's
-// Flush is a no-op. Tests and benchmarks use it as the delivery
-// barrier.
-func (t *Tree) Flush() {
-	if t.ring != nil {
-		t.ring.flush()
-	}
-}
+// been handed to its callback (or skipped as cancelled): the delivery
+// barrier for consumers that read results after publishing.
+func (t *Tree) Flush() { t.ring.flush() }
 
 // Seed primes the tree's device→room view from a restored backend's
 // current fixes (locdb.Store.All). Call it once, after wiring the tree
@@ -429,7 +410,7 @@ func (t *Tree) rebuildAllLocked() {
 	for _, s := range t.all {
 		list = append(list, s)
 	}
-	sort.Slice(list, func(i, j int) bool { return list[i].id < list[j].id })
+	slices.SortFunc(list, bySubID)
 	t.allList.Store(&list)
 }
 
@@ -483,15 +464,12 @@ func (t *Tree) remove(s *sub) {
 
 // Stats returns a snapshot of the tree's activity counters.
 func (t *Tree) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Subscriptions: int(t.subCount.Load()),
 		Published:     t.published.Load(),
 		Delivered:     t.delivered.Load(),
+		Backlog:       t.ring.backlog(),
 	}
-	if t.ring != nil {
-		st.Backlog = t.ring.backlog()
-	}
-	return st
 }
 
 // Occupancy returns the tree's current occupant count for the room.
@@ -610,8 +588,8 @@ func (t *Tree) publishLocked(sh *treeShard, ev locdb.Event) {
 
 // emitLocked matches one enter/leave event against the catch-all list,
 // the device index of the caller's shard, and the room index, then
-// hands the matches — in subscription order — to the delivery stage
-// (or invokes them inline on a Sync tree). The caller holds sh.mu.
+// hands the matches — in subscription order — to the delivery stage.
+// The caller holds sh.mu.
 func (t *Tree) emitLocked(sh *treeShard, e Event) {
 	matched := sh.matched[:0]
 	if all := t.allList.Load(); all != nil {
@@ -632,13 +610,7 @@ func (t *Tree) emitLocked(sh *treeShard, e Event) {
 	if len(matched) == 0 {
 		return
 	}
-	sortSubsByID(matched)
-	if t.ring == nil {
-		for _, s := range matched {
-			t.invoke(s, e)
-		}
-		return
-	}
+	slices.SortFunc(matched, bySubID)
 	deliv := sh.deliv[:0]
 	for _, s := range matched {
 		deliv = append(deliv, delivery{s: s, e: e})
@@ -672,7 +644,7 @@ func (t *Tree) occShift(room graph.NodeID, delta int, at sim.Tick) {
 		ids = append(ids, id)
 	}
 	o.ids = ids
-	sortIDs(ids)
+	slices.Sort(ids)
 	deliv := o.deliv[:0]
 	for _, id := range ids {
 		s := watchers[id]
@@ -685,15 +657,10 @@ func (t *Tree) occShift(room graph.NodeID, delta int, at sim.Tick) {
 		if !above {
 			kind = OccupancyFall
 		}
-		e := Event{Kind: kind, Room: room, At: at, Occupancy: n}
-		if t.ring == nil {
-			t.invoke(s, e)
-		} else {
-			deliv = append(deliv, delivery{s: s, e: e})
-		}
+		deliv = append(deliv, delivery{s: s, e: Event{Kind: kind, Room: room, At: at, Occupancy: n}})
 	}
 	o.deliv = deliv
-	if t.ring != nil && len(deliv) > 0 {
+	if len(deliv) > 0 {
 		t.ring.enqueue(t, deliv)
 	}
 	o.mu.Unlock()
@@ -720,7 +687,7 @@ func (t *Tree) zoneCrossingsLocked(sh *treeShard, dev baseband.BDAddr, room grap
 	if len(ids) == 0 {
 		return
 	}
-	sortIDs(ids)
+	slices.Sort(ids)
 	deliv := sh.deliv[:0]
 	for _, id := range ids {
 		s := watchers[id]
@@ -733,47 +700,16 @@ func (t *Tree) zoneCrossingsLocked(sh *treeShard, dev baseband.BDAddr, room grap
 		if !in {
 			kind = ZoneExit
 		}
-		e := Event{Kind: kind, Device: dev, Room: room, At: at}
-		if t.ring == nil {
-			t.invoke(s, e)
-		} else {
-			deliv = append(deliv, delivery{s: s, e: e})
-		}
+		deliv = append(deliv, delivery{s: s, e: Event{Kind: kind, Device: dev, Room: room, At: at}})
 	}
 	sh.deliv = deliv
-	if t.ring != nil && len(deliv) > 0 {
+	if len(deliv) > 0 {
 		t.ring.enqueue(t, deliv)
 	}
 }
 
-// sortSubsByID is an insertion sort: the hot matching path sorts a
-// small, nearly sorted list (the catch-all prefix is pre-sorted) per
-// event, and sort.Slice would charge it two allocations per call for
-// the closure and the interface header.
-func sortSubsByID(subs []*sub) {
-	for i := 1; i < len(subs); i++ {
-		s := subs[i]
-		j := i - 1
-		for j >= 0 && subs[j].id > s.id {
-			subs[j+1] = subs[j]
-			j--
-		}
-		subs[j+1] = s
-	}
-}
-
-// sortIDs is the same allocation-free insertion sort for watcher ids.
-func sortIDs(ids []uint64) {
-	for i := 1; i < len(ids); i++ {
-		v := ids[i]
-		j := i - 1
-		for j >= 0 && ids[j] > v {
-			ids[j+1] = ids[j]
-			j--
-		}
-		ids[j+1] = v
-	}
-}
+// bySubID orders subscriptions by id, which is registration order.
+func bySubID(a, b *sub) int { return cmp.Compare(a.id, b.id) }
 
 // invoke runs one callback behind the sub's gate; a sub cancelled
 // while queued is skipped, and a Cancel racing an invocation blocks

@@ -36,9 +36,21 @@ func absent(dev baseband.BDAddr, room graph.NodeID, at sim.Tick) locdb.Event {
 	return locdb.Event{Fix: locdb.Fix{Device: dev, Piconet: room, At: at}, Present: false}
 }
 
+// newTree returns a default tree whose delivery goroutine is released
+// when the test ends.
+func newTree(t *testing.T) *Tree {
+	tree := New()
+	t.Cleanup(tree.Close)
+	return tree
+}
+
 // publish feeds one event to the tree as a one-event frame, the shape
-// an unbatched report or a logout's drop takes.
-func publish(tree *Tree, ev locdb.Event) { tree.PublishBatch([]locdb.Event{ev}) }
+// an unbatched report or a logout's drop takes, and waits for its
+// deliveries.
+func publish(tree *Tree, ev locdb.Event) {
+	tree.PublishBatch([]locdb.Event{ev})
+	tree.Flush()
+}
 
 func kinds(events []Event) []EventKind {
 	out := make([]EventKind, len(events))
@@ -61,7 +73,7 @@ func wantKinds(t *testing.T, got []Event, want ...EventKind) {
 }
 
 func TestAllFilterSeesHandoverAsLeaveThenEnter(t *testing.T) {
-	tree := New()
+	tree := newTree(t)
 	var c collector
 	tree.Subscribe(Filter{Kind: KindAll}, c.deliver)
 
@@ -80,7 +92,7 @@ func TestAllFilterSeesHandoverAsLeaveThenEnter(t *testing.T) {
 }
 
 func TestDuplicatePresenceEmitsNothing(t *testing.T) {
-	tree := New()
+	tree := newTree(t)
 	var c collector
 	tree.Subscribe(Filter{Kind: KindAll}, c.deliver)
 	publish(tree, present(1, 10, 100))
@@ -89,7 +101,7 @@ func TestDuplicatePresenceEmitsNothing(t *testing.T) {
 }
 
 func TestStaleAbsenceIgnored(t *testing.T) {
-	tree := New()
+	tree := newTree(t)
 	var c collector
 	tree.Subscribe(Filter{Kind: KindAll}, c.deliver)
 	publish(tree, present(1, 10, 100))
@@ -104,7 +116,7 @@ func TestStaleAbsenceIgnored(t *testing.T) {
 }
 
 func TestDeviceFilterMatchesOnlyItsDevice(t *testing.T) {
-	tree := New()
+	tree := newTree(t)
 	var c collector
 	tree.Subscribe(Filter{Kind: KindDevice, Device: 7}, c.deliver)
 	publish(tree, present(1, 10, 100))
@@ -121,7 +133,7 @@ func TestDeviceFilterMatchesOnlyItsDevice(t *testing.T) {
 }
 
 func TestRoomFilterMatchesOnlyItsRoom(t *testing.T) {
-	tree := New()
+	tree := newTree(t)
 	var c collector
 	tree.Subscribe(Filter{Kind: KindRoom, Room: 10}, c.deliver)
 	publish(tree, present(1, 10, 100))
@@ -137,7 +149,7 @@ func TestRoomFilterMatchesOnlyItsRoom(t *testing.T) {
 }
 
 func TestZoneCrossings(t *testing.T) {
-	tree := New()
+	tree := newTree(t)
 	var c collector
 	tree.Subscribe(Filter{Kind: KindZone, Device: 1, Zone: []graph.NodeID{10, 11}}, c.deliver)
 
@@ -159,7 +171,7 @@ func TestZoneCrossings(t *testing.T) {
 }
 
 func TestZoneSubscribeInsideFiresOnlyOnExit(t *testing.T) {
-	tree := New()
+	tree := newTree(t)
 	publish(tree, present(1, 10, 50))
 	var c collector
 	// The device is already inside: registration must not fire a
@@ -170,7 +182,7 @@ func TestZoneSubscribeInsideFiresOnlyOnExit(t *testing.T) {
 }
 
 func TestOccupancyCrossings(t *testing.T) {
-	tree := New()
+	tree := newTree(t)
 	var c collector
 	tree.Subscribe(Filter{Kind: KindOccupancy, Room: 10, Threshold: 2}, c.deliver)
 
@@ -193,7 +205,7 @@ func TestOccupancyCrossings(t *testing.T) {
 }
 
 func TestOccupancySubscribeAboveFiresOnlyOnFall(t *testing.T) {
-	tree := New()
+	tree := newTree(t)
 	publish(tree, present(1, 10, 50))
 	publish(tree, present(2, 10, 60))
 	var c collector
@@ -205,7 +217,7 @@ func TestOccupancySubscribeAboveFiresOnlyOnFall(t *testing.T) {
 }
 
 func TestOccupancyTracksHandover(t *testing.T) {
-	tree := New()
+	tree := newTree(t)
 	var c10, c11 collector
 	tree.Subscribe(Filter{Kind: KindOccupancy, Room: 10, Threshold: 1}, c10.deliver)
 	tree.Subscribe(Filter{Kind: KindOccupancy, Room: 11, Threshold: 1}, c11.deliver)
@@ -219,7 +231,7 @@ func TestOccupancyTracksHandover(t *testing.T) {
 }
 
 func TestSeedPrimesViewWithoutEvents(t *testing.T) {
-	tree := New()
+	tree := newTree(t)
 	var c collector
 	tree.Subscribe(Filter{Kind: KindAll}, c.deliver)
 	tree.Seed([]locdb.Fix{
@@ -238,7 +250,7 @@ func TestSeedPrimesViewWithoutEvents(t *testing.T) {
 }
 
 func TestCancelStopsDeliveryAndIsIdempotent(t *testing.T) {
-	tree := New()
+	tree := newTree(t)
 	var c collector
 	sub := tree.Subscribe(Filter{Kind: KindAll}, c.deliver)
 	publish(tree, present(1, 10, 100))
@@ -252,7 +264,7 @@ func TestCancelStopsDeliveryAndIsIdempotent(t *testing.T) {
 }
 
 func TestStatsCount(t *testing.T) {
-	tree := New()
+	tree := newTree(t)
 	var c collector
 	tree.Subscribe(Filter{Kind: KindAll}, c.deliver)
 	tree.Subscribe(Filter{Kind: KindRoom, Room: 10}, c.deliver)
@@ -270,7 +282,7 @@ func TestStatsCount(t *testing.T) {
 }
 
 func TestDeliveryOrderFollowsRegistration(t *testing.T) {
-	tree := New()
+	tree := newTree(t)
 	var order []int
 	var mu sync.Mutex
 	for i := 0; i < 5; i++ {

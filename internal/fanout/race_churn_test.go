@@ -46,6 +46,7 @@ func TestChurnUnderConcurrentIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := New()
+	defer tree.Close()
 	db.SubscribeSink(tree)
 
 	// Stable subscribers, registered before any traffic: one per-device
@@ -129,6 +130,7 @@ func TestChurnUnderConcurrentIngest(t *testing.T) {
 	ingest.Wait()
 	close(done)
 	churn.Wait()
+	tree.Flush()
 
 	// Every device produced exactly movesPerDevice enters and
 	// movesPerDevice leaves (each handover pairs a leave with the next

@@ -150,11 +150,6 @@ func (r *deliveryRing) flush() {
 // waits for it to exit. Idempotent.
 func (r *deliveryRing) close() {
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		<-r.done
-		return
-	}
 	r.closed = true
 	r.notEmpty.Broadcast()
 	r.notFull.Broadcast()

@@ -9,6 +9,7 @@ package hci
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"bips/internal/baseband"
 	"bips/internal/inquiry"
@@ -130,6 +131,8 @@ type HCI struct {
 
 	devices map[baseband.BDAddr]piconet.Device
 	conns   map[baseband.BDAddr]*connState
+	// linkScratch holds superviseLinks' sorted address walk.
+	linkScratch []baseband.BDAddr
 
 	inquiring   bool
 	inquiryStop sim.Handle
@@ -219,6 +222,9 @@ func (h *HCI) Inquiry(length sim.Tick) error {
 		length = baseband.InquiryTimeoutTicks
 	}
 	h.inquiring = true
+	// Map order is harmless here: Forget only clears per-device state and
+	// keeps the discovery order of the rest, so any walk leaves the same
+	// master state.
 	for addr := range h.devices {
 		if !h.Connected(addr) {
 			h.master.Forget(addr)
@@ -291,9 +297,18 @@ func (h *HCI) Disconnect(addr baseband.BDAddr) error {
 }
 
 // superviseLinks probes every open link; consecutive failures close it
-// with StatusSupervision.
+// with StatusSupervision. Links are probed in ascending address order, so
+// links failing on the same tick disconnect — and draw loss samples from
+// the medium — in a deterministic order.
 func (h *HCI) superviseLinks(k *sim.Kernel) {
-	for addr, c := range h.conns {
+	addrs := h.linkScratch[:0]
+	for addr := range h.conns {
+		addrs = append(addrs, addr)
+	}
+	slices.Sort(addrs)
+	h.linkScratch = addrs
+	for _, addr := range addrs {
+		c := h.conns[addr]
 		ok := true
 		if h.medium != nil {
 			ok = h.medium.InRange(h.cfg.Addr, addr) && !h.medium.Lost()

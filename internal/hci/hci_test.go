@@ -3,6 +3,7 @@ package hci
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bips/internal/baseband"
@@ -257,5 +258,40 @@ func TestEventAndStatusStrings(t *testing.T) {
 	}
 	if EventType(99).String() == "" || Status(99).String() == "" {
 		t.Error("unknown enum names empty")
+	}
+}
+
+// TestSupervisionDisconnectsInAddressOrder: links that fail supervision
+// on the same tick disconnect in ascending address order, whatever order
+// the controller's link table happens to iterate in.
+func TestSupervisionDisconnectsInAddressOrder(t *testing.T) {
+	med := radio.NewMedium()
+	med.Place(radio.Station{Addr: 1, Pos: radio.Point{X: 0, Y: 0}})
+	ha := newHarness(t, 11, med)
+	defer ha.h.Close()
+	// Eight open links to devices the medium does not know: every probe
+	// fails, so all of them reach the miss limit on the same tick.
+	for _, addr := range []baseband.BDAddr{0xB5, 0xB2, 0xB8, 0xB1, 0xB7, 0xB3, 0xB6, 0xB4} {
+		ha.h.conns[addr] = &connState{}
+	}
+	ha.k.RunUntil(20 * sim.TicksPerSecond)
+	if n := ha.h.NumConnections(); n != 0 {
+		t.Fatalf("%d links survived supervision", n)
+	}
+	var got []baseband.BDAddr
+	var at sim.Tick
+	for _, e := range ha.events {
+		if e.Type != EventDisconnectionComplete {
+			continue
+		}
+		if len(got) > 0 && e.At != at {
+			t.Fatalf("disconnections spread over ticks %v and %v", at, e.At)
+		}
+		at = e.At
+		got = append(got, e.Addr)
+	}
+	want := []baseband.BDAddr{0xB1, 0xB2, 0xB3, 0xB4, 0xB5, 0xB6, 0xB7, 0xB8}
+	if !slices.Equal(got, want) {
+		t.Errorf("disconnections = %v, want %v", got, want)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"bips/internal/graph"
-	"bips/internal/server"
 	"bips/internal/wire"
 )
 
@@ -70,10 +69,11 @@ func TestBatchMatchesStandalone(t *testing.T) {
 		batch.Requests = append(batch.Requests, env)
 	}
 
-	// Synchronous fan-out keeps the fanout.* counters MsgStats reports
-	// independent of delivery-goroutine timing.
-	alone := newServer(t, server.WithSyncFanout())
-	batched := newServer(t, server.WithSyncFanout())
+	// Neither server has a subscriber, so nothing is queued for the
+	// delivery goroutine and the fanout.* counters MsgStats reports do
+	// not depend on its timing.
+	alone := newServer(t)
+	batched := newServer(t)
 	const emptyResult = `{"type":"batch.result","seq":1,"body":{"responses":[]}}`
 
 	// The lone run sends the empty batch first and the batched run sends

@@ -123,17 +123,15 @@ func BenchmarkServeConnPipelinedDepth(b *testing.B) {
 	}
 }
 
-// BenchmarkFanoutEventPush measures the full event push path in the
-// synchronous fan-out configuration (the in-process deployment's, and
-// the only one comparable across records that predate the staged
-// delivery ring): a presence change flows through locdb's subscriber
-// notify, the fan-out tree's filters, and the connection pusher, and
-// leaves as a pooled pre-encoded frame. The client drains with a raw
-// frame codec and one reused receive buffer so the number reflects the
-// server side. The staged configuration's write path is measured by
-// BenchmarkFanoutWritePath, where the two modes are compared directly.
+// BenchmarkFanoutEventPush measures the full event push path, one event
+// at a time: a presence change flows through locdb's subscriber notify,
+// the fan-out tree's filters and delivery ring, and the connection
+// writer, and leaves as a pooled pre-encoded frame. The client drains
+// with a raw frame codec and one reused receive buffer so the number
+// reflects the server side. What the mutating goroutine alone pays is
+// BenchmarkFanoutWritePath.
 func BenchmarkFanoutEventPush(b *testing.B) {
-	s := benchServer(b, locdb.DefaultShards, WithSyncFanout())
+	s := benchServer(b, locdb.DefaultShards)
 	cliConn, srvConn := net.Pipe()
 	go s.ServeConn(srvConn)
 	codec := wire.NewFrameCodec(cliConn)
@@ -174,115 +172,103 @@ func BenchmarkFanoutEventPush(b *testing.B) {
 }
 
 // BenchmarkFanoutWritePath measures what the MUTATING goroutine pays
-// per event when a wire subscriber is attached — the number the staged
-// delivery ring exists to shrink. Events are applied in bursts smaller
-// than the buffers (no drops, no ring saturation) and the inter-burst
-// drain runs off the timer, so the figure isolates the write path:
-// sync pays matching plus the subscriber's encode-and-enqueue inline;
-// staged pays matching plus a ring enqueue, with delivery off-thread.
+// per event when a wire subscriber is attached: matching plus a ring
+// enqueue, with the subscriber's encode-and-enqueue on the delivery
+// goroutine. Events are applied in bursts smaller than the buffers (no
+// drops, no ring saturation) and the inter-burst drain runs off the
+// timer, so the figure isolates the write path.
 func BenchmarkFanoutWritePath(b *testing.B) {
 	const burst = 512
-	for _, mode := range []struct {
-		name string
-		opts []Option
-	}{
-		// The buffer holds a full burst times the per-event fan-out, so
-		// the figure measures cost, not drops.
-		{"sync", []Option{WithSyncFanout(), WithEventBuffer(8 * burst)}},
-		{"staged", []Option{WithEventBuffer(8 * burst)}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			s := benchServer(b, locdb.DefaultShards, mode.opts...)
-			cliConn, srvConn := net.Pipe()
-			go s.ServeConn(srvConn)
-			codec := wire.NewFrameCodec(cliConn)
-			defer codec.Close()
+	// The buffer holds a full burst times the per-event fan-out, so the
+	// figure measures cost, not drops.
+	s := benchServer(b, locdb.DefaultShards, WithEventBuffer(8*burst))
+	cliConn, srvConn := net.Pipe()
+	go s.ServeConn(srvConn)
+	codec := wire.NewFrameCodec(cliConn)
+	defer codec.Close()
 
-			// Four matching subscriptions — a device watcher, a room
-			// watcher and two catch-alls — so each event fans out the
-			// way a watched corridor does, and the sync variant pays
-			// four inline encodes per mutation.
-			filters := []wire.SubFilter{
-				{Kind: wire.FilterDevice, Target: "bob"},
-				{Kind: wire.FilterRoom, Room: 6},
-				{Kind: wire.FilterAll},
-				{Kind: wire.FilterAll},
-			}
-			for i, f := range filters {
-				sub, err := wire.MarshalBody(wire.MsgSubscribe, uint64(1+i), wire.Subscribe{
-					ID: fmt.Sprintf("s%d", i), Querier: "alice", Filter: f,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := codec.Send(sub); err != nil {
-					b.Fatal(err)
-				}
-				var ackBuf []byte
-				ack, _, err := codec.RecvBuf(ackBuf)
-				if err != nil || ack.Type != wire.MsgOK {
-					b.Fatalf("subscribe ack = %+v, %v", ack, err)
-				}
-			}
-			perEvent := int64(len(filters))
-
-			// The drainer keeps the connection read, off the timer's
-			// critical path, and counts deliveries so each burst can be
-			// drained to completion before the next starts.
-			var received atomic.Int64
-			drained := make(chan struct{})
-			go func() {
-				defer close(drained)
-				var buf []byte
-				for {
-					env, nbuf, err := codec.RecvBuf(buf)
-					if err != nil {
-						return
-					}
-					buf = nbuf
-					if env.Type == wire.MsgEvent {
-						received.Add(1)
-					}
-				}
-			}()
-
-			tick := sim.Tick(1)
-			sent := int64(0)
-			b.ResetTimer()
-			for n := 0; n < b.N; {
-				k := burst
-				if rem := b.N - n; rem < k {
-					k = rem
-				}
-				for i := 0; i < k; i++ {
-					tick++
-					// Alternate leave/enter (the fixture seeds bob present
-					// in room 6, so absence first): one event per mutation.
-					p := wire.Presence{Device: wire.FormatAddr(devB), Room: 6, At: tick, Present: tick%2 == 1}
-					if err := s.ReportDelta(p); err != nil {
-						b.Fatal(err)
-					}
-				}
-				n += k
-				sent += int64(k)
-				b.StopTimer()
-				for received.Load() < sent*perEvent {
-					time.Sleep(50 * time.Microsecond)
-				}
-				b.StartTimer()
-			}
-			b.StopTimer()
-			codec.Close()
-			<-drained
-		})
+	// Four matching subscriptions — a device watcher, a room watcher and
+	// two catch-alls — so each event fans out the way a watched corridor
+	// does.
+	filters := []wire.SubFilter{
+		{Kind: wire.FilterDevice, Target: "bob"},
+		{Kind: wire.FilterRoom, Room: 6},
+		{Kind: wire.FilterAll},
+		{Kind: wire.FilterAll},
 	}
+	for i, f := range filters {
+		sub, err := wire.MarshalBody(wire.MsgSubscribe, uint64(1+i), wire.Subscribe{
+			ID: fmt.Sprintf("s%d", i), Querier: "alice", Filter: f,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := codec.Send(sub); err != nil {
+			b.Fatal(err)
+		}
+		var ackBuf []byte
+		ack, _, err := codec.RecvBuf(ackBuf)
+		if err != nil || ack.Type != wire.MsgOK {
+			b.Fatalf("subscribe ack = %+v, %v", ack, err)
+		}
+	}
+	perEvent := int64(len(filters))
+
+	// The drainer keeps the connection read, off the timer's critical
+	// path, and counts deliveries so each burst can be drained to
+	// completion before the next starts.
+	var received atomic.Int64
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		var buf []byte
+		for {
+			env, nbuf, err := codec.RecvBuf(buf)
+			if err != nil {
+				return
+			}
+			buf = nbuf
+			if env.Type == wire.MsgEvent {
+				received.Add(1)
+			}
+		}
+	}()
+
+	tick := sim.Tick(1)
+	sent := int64(0)
+	b.ResetTimer()
+	for n := 0; n < b.N; {
+		k := burst
+		if rem := b.N - n; rem < k {
+			k = rem
+		}
+		for i := 0; i < k; i++ {
+			tick++
+			// Alternate leave/enter (the fixture seeds bob present in
+			// room 6, so absence first): one event per mutation.
+			p := wire.Presence{Device: wire.FormatAddr(devB), Room: 6, At: tick, Present: tick%2 == 1}
+			if err := s.ReportDelta(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+		n += k
+		sent += int64(k)
+		b.StopTimer()
+		for received.Load() < sent*perEvent {
+			time.Sleep(50 * time.Microsecond)
+		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	codec.Close()
+	<-drained
 }
 
-// BenchmarkEventBurstFlush measures the subscription pusher under burst
-// fan-out: one ApplyBatch produces a queue of events that the pusher
+// BenchmarkEventBurstFlush measures the connection writer under burst
+// fan-out: one ApplyBatch produces a queue of events that the writer
 // stages and flushes together, so the per-event cost amortizes the
 // write(2). The writes/event metric shows the coalescing directly — a
-// flush-per-event pusher would report 1.0.
+// flush-per-event writer would report 1.0.
 func BenchmarkEventBurstFlush(b *testing.B) {
 	const burst = 64
 	s := benchServer(b, locdb.DefaultShards, WithEventBuffer(4*burst))

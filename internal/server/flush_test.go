@@ -1,8 +1,8 @@
-// Flush-coalescing tests: the writer loop and the subscription pusher
-// must batch queued frames into few underlying writes, the wire.*
+// Flush-coalescing tests: the connection writer must batch queued
+// response and event frames into few underlying writes, the wire.*
 // counters must surface the amortization through MsgStats, and none of
 // it may change the bytes on the stream (the differential test for that
-// lives in internal/wire; here the concern is the server loops).
+// lives in internal/wire; here the concern is the connection writer).
 package server
 
 import (

@@ -18,12 +18,14 @@
 // cheap reads itself (inlineRead) or hands the request to a handler
 // goroutine, with at most MaxInFlight requests executing per connection;
 // both routes run handle, which calls the one dispatch switch to append
-// the response into a pooled frame. The writer stages queued frames back
-// onto the socket in completion order and flushes when its queue goes
-// idle. Responses therefore may arrive out of request order — the
-// envelope Seq is the correlation id that ties them back together —
-// which is what lets one slow navigation query overlap hundreds of cheap
-// presence deltas on the same persistent connection; ingest frames
+// the response into a pooled frame. The writer — the only goroutine
+// that writes the socket — stages queued responses and pushed
+// subscription events in completion order and flushes when the queue it
+// drew from goes idle. Responses therefore may arrive out of request
+// order — the envelope Seq is the correlation id that ties them back
+// together — which is what lets one slow navigation query overlap
+// hundreds of cheap presence deltas on the same persistent connection;
+// ingest frames
 // alone apply in arrival order (see turn). Business state is
 // safe under this concurrency: the registry and the sharded location
 // database carry their own locks and the building is immutable after
@@ -92,25 +94,6 @@ func WithFlushBytes(n int) Option {
 	}
 }
 
-// WithSyncFanout makes the fan-out tree deliver subscriber callbacks
-// inline on the goroutine that applied the presence delta, instead of
-// the default staged delivery goroutine. In-process deployments (the
-// simulation facade) use it so events stay synchronous with the
-// simulated clock; serving deployments should keep the default, which
-// takes subscriber delivery off the write path.
-func WithSyncFanout() Option {
-	return func(s *Server) { s.syncFanout = true }
-}
-
-// WithFanoutRing overrides the delivery ring capacity
-// (fanout.DefaultRing): how many matched (event, subscriber) pairs may
-// sit between matching and delivery before publishers block. Ignored
-// under WithSyncFanout. Values below 1 select the default; see
-// docs/OPERATIONS.md for tuning guidance.
-func WithFanoutRing(n int) Option {
-	return func(s *Server) { s.fanoutRing = n }
-}
-
 // Server is the central BIPS server.
 type Server struct {
 	reg *registry.Registry
@@ -136,8 +119,6 @@ type Server struct {
 	// in-process push notifications; every locdb delta is fed into it
 	// exactly once. See internal/fanout and docs/PROTOCOL.md section 9.
 	tree        *fanout.Tree
-	syncFanout  bool
-	fanoutRing  int
 	eventBuffer int
 	dropLimit   int
 	maxSubs     int
@@ -219,7 +200,7 @@ func New(reg *registry.Registry, db locdb.Store, bld *building.Building, opts ..
 	// reaches the tree as one PublishBatch — and prime the tree's room
 	// view from a restored durable backend (no traffic can flow yet —
 	// the caller has not started serving).
-	s.tree = fanout.NewWithConfig(fanout.Config{Ring: s.fanoutRing, Sync: s.syncFanout})
+	s.tree = fanout.New()
 	db.SubscribeSink(s.tree)
 	s.tree.Seed(db.All())
 	// The analytics engine rides the same delta stream; the sink
@@ -513,17 +494,12 @@ func errorFrame(seq uint64, err error) *wire.Buf {
 // flushWriter batches frame writes on one connection: each queued
 // frame — an encoded response or push event in a pooled buffer the queue
 // owned — is staged with SendPayloadNoFlush and released, and the batch
-// leaves in one write(2) when the owning goroutine observes its queue
-// idle (flush-on-idle) or the staged bytes pass the server's flush
-// threshold. After a send error it keeps accepting — and releasing —
-// frames without touching the dead stream, so producers never block on
-// a gone connection.
-//
-// A flushWriter belongs to one goroutine. The response writer and the
-// subscription pusher each own one over the same connection; the
-// codec's write mutex keeps concurrently staged frames atomic, and
-// either side's Flush simply pushes out whatever both have staged (the
-// counters still attribute every frame to exactly one flush).
+// leaves in one write(2) when the connection writer observes the queue
+// it drew from idle (flush-on-idle) or the staged bytes pass the
+// server's flush threshold. After a send error it keeps accepting — and
+// releasing — frames without touching the dead stream, so producers
+// never block on a gone connection. It belongs to the connection writer
+// goroutine.
 type flushWriter struct {
 	srv        *Server
 	tr         *wire.FrameCodec
@@ -587,15 +563,17 @@ func inlineRead(t wire.MsgType) bool {
 // tests and in-memory deployments can drive the server over net.Pipe.
 //
 // The connection is served by this goroutine acting as the reader, one
-// writer goroutine serializing responses, and up to MaxInFlight transient
-// handler goroutines — except for the cheap read queries (inlineRead),
-// which the reader dispatches itself to skip the per-request goroutine
-// handoff. Requests arrive in pooled receive buffers and responses leave
-// in pooled send buffers; see docs/ARCHITECTURE.md, "Buffer ownership
-// and release rules". A malformed message is answered with a MsgError
-// (correlation id 0, since a frame that failed to parse has no
-// trustworthy sequence number) and then the connection is closed; a
-// transport error just ends the connection.
+// writer goroutine that alone writes the socket — responses and pushed
+// subscription events alike (see writeLoop) — and up to MaxInFlight
+// transient handler goroutines, except for the cheap read queries
+// (inlineRead), which the reader dispatches itself to skip the
+// per-request goroutine handoff. Requests arrive in pooled receive
+// buffers and responses leave in pooled send buffers; see
+// docs/ARCHITECTURE.md, "Buffer ownership and release rules". A
+// malformed message is answered with a MsgError (correlation id 0,
+// since a frame that failed to parse has no trustworthy sequence
+// number) and then the connection is closed; a transport error just
+// ends the connection.
 func (s *Server) ServeConn(conn io.ReadWriter) {
 	s.connTotal.Inc()
 	tr, terr := wire.ServerTransport(conn, s.flushBytes)
@@ -604,43 +582,28 @@ func (s *Server) ServeConn(conn io.ReadWriter) {
 		return
 	}
 
-	// Writer goroutine: the single owner of response sends. It drains
-	// the queue opportunistically — every queued response is staged
-	// into the write buffer and the batch leaves in one flush when the
-	// queue goes momentarily empty (or the staged bytes pass the
-	// flush-bytes threshold), so a pipelined burst costs one write(2)
-	// instead of one per response. It keeps draining (and releasing
-	// pooled buffers) after a send failure so handler goroutines can
-	// never block on a dead connection.
+	// Per-connection subscription state, with the pushed-event queue the
+	// writer drains next to the response queue. The raw closer (when the
+	// stream is closable at all) lets the slow-consumer kill sever the
+	// socket without taking transport locks.
+	raw, _ := conn.(io.Closer)
+	cs := newConnSubs(s, raw)
 	out := make(chan *wire.Buf, s.maxInFlight+1)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		fw := &flushWriter{srv: s, tr: tr}
-		for {
-			m, ok := <-out
-			for ok {
-				fw.write(m)
-				select {
-				case m, ok = <-out:
-					continue
-				default:
-				}
-				break
-			}
-			// Queue idle (or closed): the whole batch leaves now.
-			fw.flush()
-			if !ok {
-				return
-			}
-		}
+		cs.writeLoop(&flushWriter{srv: s, tr: tr}, out)
 	}()
+	// finish runs strictly after every handler goroutine returned, so
+	// nobody can add subscriptions anymore: cancel the connection's
+	// fan-out registrations and close both writer queues, wait for the
+	// writer to flush out, then close the underlying stream (when
+	// closable) so peers see EOF as soon as the final frame is flushed —
+	// in particular after a malformed message was answered.
 	finish := func() {
+		cs.shutdown()
 		close(out)
 		<-writerDone
-		// Close the underlying stream (when closable) so peers see EOF
-		// as soon as the final response is flushed — in particular after
-		// a malformed message was answered.
 		_ = tr.Close()
 	}
 
@@ -651,12 +614,6 @@ func (s *Server) ServeConn(conn io.ReadWriter) {
 		finish()
 		return
 	}
-
-	// Per-connection subscription state. The raw closer (when the stream
-	// is closable at all) lets the slow-consumer backstop sever the
-	// socket without taking transport locks.
-	raw, _ := conn.(io.Closer)
-	cs := newConnSubs(s, tr, raw)
 
 	var handlers sync.WaitGroup
 	sem := make(chan struct{}, s.maxInFlight)
@@ -706,10 +663,6 @@ func (s *Server) ServeConn(conn io.ReadWriter) {
 	}
 	readBuf.Release()
 	handlers.Wait()
-	// Handlers are done, so nobody can add subscriptions anymore: cancel
-	// the connection's fan-out registrations and stop the pusher before
-	// the writer flushes out.
-	cs.shutdown()
 	finish()
 }
 

@@ -3,14 +3,14 @@
 //
 // Every connection owns a connSubs: the map from client-chosen
 // subscription ids to fan-out registrations, plus one bounded event
-// buffer drained by a pusher goroutine. Fan-out callbacks run on the
-// tree's delivery goroutine (or inline on the publishing goroutine
-// under WithSyncFanout) and must never block, so they enqueue
-// non-blocking and count a drop when the buffer is full; ingest and
-// other subscribers never wait on a slow consumer. A connection that keeps dropping past
-// the drop limit is killed: a best-effort slow-consumer MsgError, then
-// the socket is severed (with a timer backstop in case even the error
-// cannot be written).
+// queue that the connection writer drains next to its response queue —
+// one goroutine writes the socket, whatever the frame. Fan-out
+// callbacks run on the tree's delivery goroutine and must never block,
+// so they enqueue non-blocking and count a drop when the queue is full;
+// ingest and other subscribers never wait on a slow consumer. A
+// connection that keeps dropping past the drop limit is killed: a
+// best-effort slow-consumer MsgError, then the socket is severed (with a
+// timer backstop in case even the error cannot be written).
 package server
 
 import (
@@ -93,10 +93,9 @@ func WithMaxSubsPerConn(n int) Option {
 // connSubs is one connection's subscription state. The subs map is
 // mutated only by handler goroutines (dispatch) and the teardown path,
 // which runs strictly after every handler finished; push is called
-// from fan-out callbacks on arbitrary publishing goroutines.
+// from fan-out callbacks on the tree's delivery goroutine.
 type connSubs struct {
 	srv *Server
-	tr  *wire.FrameCodec
 	// raw severs the underlying connection without taking transport
 	// locks — FrameCodec.Close takes the write mutex, which a send
 	// stalled on a full socket holds, so the slow-consumer backstop
@@ -105,37 +104,29 @@ type connSubs struct {
 
 	// events holds pushed MsgEvent frames, each encoded once into a
 	// pooled buffer at publish time; the queue owns a frame until the
-	// pump (or a drop/teardown path) releases it.
+	// writer (or a drop path) releases it.
 	events chan *wire.Buf
 	kill   chan struct{}
-
-	startOnce sync.Once
-	killOnce  sync.Once
-	pumpDone  chan struct{}
 
 	mu     sync.Mutex
 	subs   map[string]*fanout.Subscription
 	drops  int64
 	killed bool
-	closed bool
 }
 
-func newConnSubs(s *Server, tr *wire.FrameCodec, raw io.Closer) *connSubs {
+func newConnSubs(s *Server, raw io.Closer) *connSubs {
 	return &connSubs{
-		srv:      s,
-		tr:       tr,
-		raw:      raw,
-		events:   make(chan *wire.Buf, s.eventBuffer),
-		kill:     make(chan struct{}),
-		pumpDone: make(chan struct{}),
-		subs:     make(map[string]*fanout.Subscription),
+		srv:    s,
+		raw:    raw,
+		events: make(chan *wire.Buf, s.eventBuffer),
+		kill:   make(chan struct{}),
+		subs:   make(map[string]*fanout.Subscription),
 	}
 }
 
 // add registers one subscription: reserve the id, register on the
-// fan-out tree (outside cs.mu — a synchronous tree's callbacks take
-// cs.mu under the tree's locks, so holding both here would invert the
-// order), then bind the registration to the id.
+// fan-out tree outside cs.mu (the tree takes its own index locks), then
+// bind the registration to the id.
 func (cs *connSubs) add(id string, f fanout.Filter) error {
 	cs.mu.Lock()
 	if cs.killed || cs.subs == nil {
@@ -153,7 +144,6 @@ func (cs *connSubs) add(id string, f fanout.Filter) error {
 	cs.subs[id] = nil // reserve the id against concurrent handlers
 	cs.mu.Unlock()
 
-	cs.startOnce.Do(func() { go cs.pump() })
 	fsub := cs.srv.tree.Subscribe(f, func(e fanout.Event) {
 		cs.push(cs.eventFrame(id, e))
 	})
@@ -180,15 +170,18 @@ func (cs *connSubs) drop(id string) error {
 	return nil
 }
 
-// push enqueues one encoded event without ever blocking: it runs
-// inside a fan-out callback — on the tree's delivery goroutine, or on
-// whatever goroutine applied the presence delta when the tree is
-// synchronous. A full buffer drops the event
-// (accounted, never silent — and the pooled payload is released);
-// crossing the drop limit declares the connection a slow consumer.
+// push enqueues one encoded event for the connection writer without
+// ever blocking: it runs inside a fan-out callback on the tree's
+// delivery goroutine, which every subscriber shares. A full queue drops
+// the event (accounted, never silent — and the pooled payload is
+// released); crossing the drop limit declares the connection a slow
+// consumer, once: the writer is told to answer with a slow-consumer
+// MsgError and sever the socket, and a timer backstop severs it
+// regardless in case the writer is wedged in a write the peer never
+// drains.
 func (cs *connSubs) push(m *wire.Buf) {
 	cs.mu.Lock()
-	if cs.closed || cs.killed {
+	if cs.killed {
 		cs.mu.Unlock()
 		m.Release()
 		return
@@ -199,90 +192,76 @@ func (cs *connSubs) push(m *wire.Buf) {
 		cs.srv.evPushed.Inc()
 	default:
 		cs.drops++
-		over := cs.drops >= int64(cs.srv.dropLimit)
+		cs.killed = cs.drops >= int64(cs.srv.dropLimit)
+		kill := cs.killed
 		cs.mu.Unlock()
 		m.Release()
 		cs.srv.evDropped.Inc()
-		if over {
-			cs.killSlow()
+		if kill {
+			cs.srv.slowKills.Inc()
+			close(cs.kill)
+			if raw := cs.raw; raw != nil {
+				time.AfterFunc(cs.srv.killGrace, func() { _ = raw.Close() })
+			}
 		}
 	}
 }
 
-// killSlow declares the connection a slow consumer: the pusher is told
-// to answer with a slow-consumer MsgError and sever the socket, and a
-// timer backstop severs it regardless in case the pusher itself is
-// wedged in a write the peer never drains.
-func (cs *connSubs) killSlow() {
-	cs.killOnce.Do(func() {
-		cs.mu.Lock()
-		cs.killed = true
-		cs.mu.Unlock()
-		cs.srv.slowKills.Inc()
-		close(cs.kill)
-		if cs.raw != nil {
-			raw := cs.raw
-			time.AfterFunc(cs.srv.killGrace, func() { _ = raw.Close() })
-		}
-	})
-}
-
-// pump is the pusher goroutine: the single reader of the event buffer,
-// staging MsgEvent frames onto the transport (frame writes are safe
-// against the response writer's concurrent sends) and flushing once per
-// burst — a whole PublishBatch fan-out leaves in one write(2) instead
-// of one per event. Started lazily with the connection's first
-// subscription. A send failure just keeps it draining and releasing
-// until teardown.
-func (cs *connSubs) pump() {
-	defer close(cs.pumpDone)
-	fw := &flushWriter{srv: cs.srv, tr: cs.tr}
-	for {
+// writeLoop is the connection writer, the one goroutine that writes the
+// socket. It takes frames from the response queue and the event queue
+// as they come, staging each into the write buffer, and flushes once
+// the queue it just took a frame from is idle (or the staged bytes pass
+// the flush-bytes threshold) — a pipelined burst of responses or a
+// whole PublishBatch fan-out leaves in one write(2) instead of one per
+// frame, and a response never waits for an event stream to pause. On a
+// slow-consumer kill it answers with the MsgError behind whatever is
+// already staged and severs the socket. After a send failure or a kill
+// it keeps draining and releasing both queues, so handlers and push
+// never block on a dead connection, and returns once teardown has
+// closed both.
+func (cs *connSubs) writeLoop(fw *flushWriter, out <-chan *wire.Buf) {
+	var events <-chan *wire.Buf = cs.events
+	kill := cs.kill
+	for out != nil || events != nil {
+		var m *wire.Buf
+		ok := false
+		from := &out
 		select {
-		case m, ok := <-cs.events:
-			for ok {
-				fw.write(m)
-				select {
-				case m, ok = <-cs.events:
-					continue
-				case <-cs.kill:
-					cs.pumpKill(fw)
-					return
-				default:
-				}
-				break
-			}
-			// Burst over (or channel closed): flush the batch.
+		case m, ok = <-out:
+		case m, ok = <-events:
+			from = &events
+		case <-kill:
+			kill = nil
+			cs.condemn(fw)
+			continue
+		}
+		if !ok {
+			*from = nil // closed by teardown
+			continue
+		}
+		fw.write(m)
+		if len(*from) == 0 {
 			fw.flush()
-			if !ok {
-				return
-			}
-		case <-cs.kill:
-			cs.pumpKill(fw)
-			return
 		}
 	}
 }
 
-// pumpKill answers the slow-consumer condemnation with a best-effort
-// MsgError behind whatever events are already staged, severs the socket,
-// and drains the event buffer until shutdown closes it, releasing every
-// queued frame.
-func (cs *connSubs) pumpKill(fw *flushWriter) {
+// condemn answers the slow-consumer kill on the writer: a best-effort
+// MsgError behind everything already staged, a flush, the severed
+// socket, and no further writes.
+func (cs *connSubs) condemn(fw *flushWriter) {
 	fw.write(errorFrame(0, errSlowConsumer))
 	fw.flush()
 	if cs.raw != nil {
 		_ = cs.raw.Close()
 	}
-	for m := range cs.events {
-		m.Release()
-	}
+	fw.sendFailed = true
 }
 
 // shutdown runs on connection teardown, strictly after every handler
 // goroutine finished: cancel the fan-out registrations first (Cancel
-// returning means no callback is running or will run), then close the
-// buffer so the pusher exits.
+// returning means no callback — and so no push — is running or will
+// run), then close the event queue so the writer can drain out.
 func (cs *connSubs) shutdown() {
 	cs.mu.Lock()
 	subs := cs.subs
@@ -293,24 +272,7 @@ func (cs *connSubs) shutdown() {
 			fsub.Cancel()
 		}
 	}
-	// Claim startOnce: if it was still unclaimed the pump never ran and
-	// there is nothing to wait for; otherwise wait for it to drain out.
-	neverStarted := false
-	cs.startOnce.Do(func() { neverStarted = true })
-	cs.mu.Lock()
-	cs.closed = true
-	cs.mu.Unlock()
 	close(cs.events)
-	if !neverStarted {
-		<-cs.pumpDone
-	}
-}
-
-// dropped reports the connection's drop count (tests).
-func (cs *connSubs) dropped() int64 {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.drops
 }
 
 // resolveFilter applies the server's business validation and access
@@ -373,32 +335,26 @@ func (s *Server) resolveFilter(req wire.Subscribe) (fanout.Filter, error) {
 	}
 }
 
-// eventBody renders one fan-out event as a MsgEvent body for the
-// subscription with the given id. It runs inside the fan-out
-// callback; the registry lookup is the only lock it takes, and the
-// registry never calls into the tree.
-func (s *Server) eventBody(id string, e fanout.Event) wire.Event {
+// eventFrame encodes one fan-out event for the subscription with the
+// given id as a queued push frame: the MsgEvent envelope appended
+// straight into a pooled buffer. It runs inside the fan-out callback;
+// the registry lookup is the only lock it takes, and the registry never
+// calls into the tree.
+func (cs *connSubs) eventFrame(id string, e fanout.Event) *wire.Buf {
 	body := wire.Event{
 		Sub:       id,
 		Kind:      string(e.Kind),
 		Room:      e.Room,
-		RoomName:  s.roomName(e.Room),
+		RoomName:  cs.srv.roomName(e.Room),
 		At:        e.At,
 		Occupancy: e.Occupancy,
 	}
 	if e.Device != 0 {
 		body.Device = wire.FormatAddr(e.Device)
-		if user, err := s.reg.UserOf(e.Device); err == nil {
+		if user, err := cs.srv.reg.UserOf(e.Device); err == nil {
 			body.User = string(user)
 		}
 	}
-	return body
-}
-
-// eventFrame encodes one fan-out event as a queued push frame: the
-// MsgEvent envelope appended straight into a pooled buffer.
-func (cs *connSubs) eventFrame(id string, e fanout.Event) *wire.Buf {
-	body := cs.srv.eventBody(id, e)
 	buf := wire.GetBuf()
 	buf.B = wire.AppendEnvelope(buf.B, wire.MsgEvent, 0, &body)
 	return buf

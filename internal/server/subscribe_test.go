@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -62,8 +63,9 @@ func (es *eventSink) attach(t *testing.T, c *wire.Client) {
 	})
 }
 
-// wait blocks until the sink holds at least n events (the pusher
-// goroutine races the request/response stream) and returns them.
+// wait blocks until the sink holds at least n events (delivery runs on
+// the fan-out goroutine, racing the request/response stream) and
+// returns them.
 func (es *eventSink) wait(t *testing.T, n int) []wire.Event {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -469,5 +471,73 @@ func TestConnectionTeardownCancelsSubscriptions(t *testing.T) {
 	<-done
 	if got := s.Fanout().Stats().Subscriptions; got != 0 {
 		t.Fatalf("subscriptions after teardown = %d, want 0", got)
+	}
+}
+
+// settledGoroutines polls runtime.NumGoroutine until it is at most want
+// or a deadline passes, and returns the last count: goroutines that
+// already finished their work (a handler after its response, a closed
+// connection's loops) take a moment to exit.
+func settledGoroutines(want int) int {
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= want || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSubscribedConnectionGoroutines: a subscribed connection that has
+// had an event pushed runs exactly two steady goroutines — the reader
+// and the one writer carrying responses and events alike — and gives
+// both back when it closes.
+func TestSubscribedConnectionGoroutines(t *testing.T) {
+	s := newSubServer(t)
+	login(t, s, "alice", devA)
+	login(t, s, "bob", devB)
+	// Let goroutines of earlier tests finish winding down first.
+	base := runtime.NumGoroutine()
+	for {
+		time.Sleep(20 * time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n >= base {
+			break
+		}
+		base = n
+	}
+
+	a, b := net.Pipe()
+	done := make(chan struct{})
+	go func() { s.ServeConn(b); close(done) }()
+	codec := wire.NewFrameCodec(a)
+	defer codec.Close()
+	env, err := wire.MarshalBody(wire.MsgSubscribe, 1, wire.Subscribe{
+		ID: "x", Querier: "alice", Filter: wire.SubFilter{Kind: wire.FilterDevice, Target: "bob"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := codec.Send(env); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := codec.Recv(); err != nil || resp.Type != wire.MsgOK {
+		t.Fatalf("subscribe response = %+v, %v", resp, err)
+	}
+	if err := s.ReportDelta(wire.Presence{Device: wire.FormatAddr(devB), Room: 6, At: 1, Present: true}); err != nil {
+		t.Fatal(err)
+	}
+	if ev, err := codec.Recv(); err != nil || ev.Type != wire.MsgEvent {
+		t.Fatalf("push = %+v, %v", ev, err)
+	}
+
+	if got := settledGoroutines(base+2) - base; got != 2 {
+		t.Errorf("subscribed connection runs %d goroutines, want 2 (reader + writer)", got)
+	}
+	codec.Close()
+	<-done
+	if got := settledGoroutines(base) - base; got != 0 {
+		t.Errorf("%d goroutines left after the connection closed, want 0", got)
 	}
 }
