@@ -285,7 +285,7 @@ func BenchmarkLocdbLocate(b *testing.B) {
 func BenchmarkWireRoundTrip(b *testing.B) {
 	a, peer := net.Pipe()
 	go func() {
-		codec := wire.NewCodec(peer)
+		codec := wire.NewFrameCodec(peer)
 		for {
 			env, err := codec.Recv()
 			if err != nil {
@@ -296,14 +296,13 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 			}
 		}
 	}()
-	client := wire.NewClient(wire.NewCodec(a))
+	client := wire.NewClient(wire.NewFrameCodec(a))
 	defer client.Close()
-	p := wire.Presence{Device: "AA:BB:CC:DD:EE:FF", Room: 3, Present: true}
+	q := &wire.Locate{Querier: "alice", Target: "bob"}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.At = sim.Tick(i)
-		if err := client.Call(wire.MsgPresence, p, nil); err != nil {
+		if err := client.Call(wire.MsgLocate, q, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,9 +20,9 @@ func startAnalyticsServer(t *testing.T) string {
 	}
 	client := wire.NewClient(wire.NewFrameCodec(conn))
 	defer client.Close()
-	if err := client.Call(wire.MsgPresence, wire.Presence{
+	if err := report(client, wire.Presence{
 		Device: "B0:00:00:00:00:01", Room: 5, At: 2500, Present: true,
-	}, nil); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return addr
@@ -30,7 +30,7 @@ func startAnalyticsServer(t *testing.T) string {
 
 // TestAnalyticsSubcommandsSucceed: contacts, occupancy and dwell exit
 // cleanly against a live server, in both time syntaxes, with and
-// without the optional overlap bar, over both protocol versions.
+// without the optional overlap bar.
 func TestAnalyticsSubcommandsSucceed(t *testing.T) {
 	addr := startAnalyticsServer(t)
 	cases := [][]string{
@@ -41,7 +41,6 @@ func TestAnalyticsSubcommandsSucceed(t *testing.T) {
 		{"-server", addr, "occupancy", "alice", "2,5,3", "0s", "3s", "500ms"},
 		{"-server", addr, "dwell", "alice", "room", "5", "0", "10000"},
 		{"-server", addr, "dwell", "alice", "device", "bob", "0", "10000"},
-		{"-server", addr, "-v1", "contacts", "alice", "bob", "0", "10000"},
 		{"-server", addr, "-stats", "dwell", "alice", "room", "5", "0", "10000"},
 	}
 	for _, args := range cases {

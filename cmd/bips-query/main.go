@@ -47,8 +47,7 @@
 // coalescing counters — wire.flushes, wire.frames, wire.flush_bytes and
 // the derived wire.frames_per_flush — which show how many response
 // frames the server amortizes per write(2); see docs/OPERATIONS.md for
-// reading them. -v1 forces the newline-JSON wire protocol v1; the
-// default is v2 length-prefixed frames.
+// reading them.
 //
 // Exit status: 0 on success, 1 when the server answers an error or the
 // exchange fails, 2 for a usage error. Scripts can rely on a non-zero
@@ -72,7 +71,7 @@ import (
 )
 
 // errUsage marks command-line misuse (exit status 2, not 1).
-var errUsage = errors.New("usage: bips-query [-server addr] [-timeout d] [-v1] [-stats] " +
+var errUsage = errors.New("usage: bips-query [-server addr] [-timeout d] [-stats] " +
 	"{login user pw dev | logout user | locate querier target | at querier target time | " +
 	"trajectory querier target from to | path querier target | rooms | " +
 	"contacts querier target from to [minOverlap] | " +
@@ -95,7 +94,6 @@ func run(args []string) error {
 	serverAddr := fs.String("server", "127.0.0.1:7700", "central server address")
 	timeout := fs.Duration("timeout", 5*time.Second, "dial + exchange timeout (0 waits forever)")
 	stats := fs.Bool("stats", false, "fetch and print the server's metrics snapshot")
-	useV1 := fs.Bool("v1", false, "use wire protocol v1 (newline JSON) instead of v2 frames")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return err
@@ -128,12 +126,7 @@ func run(args []string) error {
 			return err
 		}
 	}
-	var client *wire.Client
-	if *useV1 {
-		client = wire.NewClient(wire.NewCodec(conn))
-	} else {
-		client = wire.NewClient(wire.NewFrameCodec(conn))
-	}
+	client := wire.NewClient(wire.NewFrameCodec(conn))
 	defer client.Close()
 
 	if len(rest) > 0 {

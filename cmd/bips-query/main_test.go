@@ -56,6 +56,18 @@ func startServer(t *testing.T) string {
 	return l.Addr().String()
 }
 
+// report sends one presence delta the way a station does: an
+// ingest.hello resumes the device's own session and returns its ack,
+// then a one-delta presence.batch follows at the next frame sequence.
+func report(c *wire.Client, p wire.Presence) error {
+	session := "station-" + p.Device
+	var ack wire.IngestAck
+	if err := c.Call(wire.MsgIngestHello, wire.IngestHello{Session: session, Station: session, Room: 1}, &ack); err != nil {
+		return err
+	}
+	return c.Call(wire.MsgPresenceBatch, wire.PresenceBatch{Session: session, Seq: ack.Acked + 1, Deltas: []wire.Presence{p}}, &ack)
+}
+
 // TestSubcommandsSucceed: every query subcommand exits cleanly against
 // a live server, with -timeout applied uniformly.
 func TestSubcommandsSucceed(t *testing.T) {
@@ -70,7 +82,6 @@ func TestSubcommandsSucceed(t *testing.T) {
 		{"-server", addr, "rooms"},
 		{"-server", addr, "-stats"},
 		{"-server", addr, "-stats", "locate", "alice", "bob"},
-		{"-server", addr, "-v1", "at", "alice", "bob", "2000"},
 	}
 	for _, args := range cases {
 		if err := run(args); err != nil {
@@ -111,9 +122,9 @@ func TestSubscribeStreamsEvents(t *testing.T) {
 		client := wire.NewClient(wire.NewFrameCodec(conn))
 		defer client.Close()
 		// Move bob into the watched room mid-stream.
-		_ = client.Call(wire.MsgPresence, wire.Presence{
+		_ = report(client, wire.Presence{
 			Device: "B0:00:00:00:00:02", Room: 5, At: 5000, Present: true,
-		}, nil)
+		})
 	}()
 	args := []string{"-server", addr, "-timeout", "500ms", "subscribe", "alice", "room", "5"}
 	if err := run(args); err != nil {
@@ -187,6 +198,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-server", "127.0.0.1:1", "at", "alice", "bob"},
 		{"-server", "127.0.0.1:1", "trajectory", "alice", "bob", "0"},
 		{"-server", "127.0.0.1:1", "wat"},
+		{"-server", "127.0.0.1:1", "-v1", "rooms"}, // no such flag: one framing only
 	}
 	for _, args := range cases {
 		if err := run(args); !errors.Is(err, errUsage) {

@@ -9,10 +9,10 @@
 //	bips-server -shards 32 -inflight 128 -loadgen-users 16
 //	bips-server -data-dir /var/lib/bips -snapshot-interval 30s
 //
-// Workstations (bips-station) connect and push presence deltas; clients
-// (bips-query) log users in and ask locate/path/rooms queries — plus the
-// historical at/trajectory queries — over wire protocol v1 or v2
-// (sniffed per connection, see docs/PROTOCOL.md).
+// Workstations (bips-station) stream presence deltas over ingest
+// sessions; clients (bips-query) log users in and ask locate/path/rooms
+// queries — plus the historical at/trajectory queries — over the framed
+// wire protocol (docs/PROTOCOL.md).
 //
 // -data-dir makes the location database durable: presence deltas are
 // written through to an append-only WAL with periodic snapshots

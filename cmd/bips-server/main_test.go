@@ -140,6 +140,18 @@ func mustJSON(t *testing.T, v any) json.RawMessage {
 	return raw
 }
 
+// report sends one presence delta the way a station does: an
+// ingest.hello resumes the device's own session and returns its ack,
+// then a one-delta presence.batch follows at the next frame sequence.
+func report(c *wire.Client, p wire.Presence) error {
+	session := "station-" + p.Device
+	var ack wire.IngestAck
+	if err := c.Call(wire.MsgIngestHello, wire.IngestHello{Session: session, Station: session, Room: 1}, &ack); err != nil {
+		return err
+	}
+	return c.Call(wire.MsgPresenceBatch, wire.PresenceBatch{Session: session, Seq: ack.Acked + 1, Deltas: []wire.Presence{p}}, &ack)
+}
+
 func login(t *testing.T, c *wire.Client, user, dev string) {
 	t.Helper()
 	if err := c.Call(wire.MsgLogin, wire.Login{User: user, Password: "pw", Device: dev}, nil); err != nil {
@@ -164,13 +176,13 @@ func TestKillAndRestartRecoversState(t *testing.T) {
 	login(t, client, "alice", devAlice)
 	login(t, client, "bob", devBob)
 	login(t, client, "churn", devChurn)
-	if err := client.Call(wire.MsgPresence, wire.Presence{Device: devAlice, Room: 1, At: 50, Present: true}, nil); err != nil {
+	if err := report(client, wire.Presence{Device: devAlice, Room: 1, At: 50, Present: true}); err != nil {
 		t.Fatal(err)
 	}
 	for i, room := range []graph.NodeID{2, 4, 6, 3} {
-		if err := client.Call(wire.MsgPresence, wire.Presence{
+		if err := report(client, wire.Presence{
 			Device: devBob, Room: room, At: sim.Tick(100 * (i + 1)), Present: true,
-		}, nil); err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,9 +202,9 @@ func TestKillAndRestartRecoversState(t *testing.T) {
 				return
 			default:
 			}
-			_ = churnClient.Call(wire.MsgPresence, wire.Presence{
+			_ = report(churnClient, wire.Presence{
 				Device: devChurn, Room: rooms[i%len(rooms)], At: sim.Tick(1000 + i), Present: true,
-			}, nil)
+			})
 		}
 	}()
 
@@ -251,9 +263,9 @@ func TestCleanShutdownCheckpoint(t *testing.T) {
 	login(t, client, "alice", devAlice)
 	login(t, client, "bob", devBob)
 	for i, room := range []graph.NodeID{5, 7, 9} {
-		if err := client.Call(wire.MsgPresence, wire.Presence{
+		if err := report(client, wire.Presence{
 			Device: devBob, Room: room, At: sim.Tick(10 * (i + 1)), Present: true,
-		}, nil); err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}

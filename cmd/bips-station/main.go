@@ -140,15 +140,14 @@ func run(args []string) error {
 
 	// The ingest stream: the workstation cuts deterministic frames
 	// (max-batch / simulated max-delay), the client delivers them with
-	// reconnect + resume. The client's own wall-clock flush timer is
-	// disabled so frame boundaries depend only on the simulation.
+	// reconnect + resume, so frame boundaries depend only on the
+	// simulation.
 	stream, err := ingest.NewClient(ingest.ClientConfig{
 		Addr:     *serverAddr,
 		Session:  sessionID,
 		Station:  stationAddr.String(),
 		Room:     graph.NodeID(*room),
 		MaxBatch: *batchMax,
-		MaxDelay: -1,
 		Logf:     log.Printf,
 	})
 	if err != nil {

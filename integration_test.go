@@ -68,13 +68,25 @@ func dial(t *testing.T, addr string) *wire.Client {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := wire.NewClient(wire.NewCodec(conn))
+	client := wire.NewClient(wire.NewFrameCodec(conn))
 	t.Cleanup(func() {
 		if err := client.Close(); err != nil {
 			t.Logf("client close: %v", err)
 		}
 	})
 	return client
+}
+
+// stationReport sends one presence delta the way a station does: an
+// ingest.hello resumes the device's own session and returns its ack,
+// then a one-delta presence.batch follows at the next frame sequence.
+func stationReport(c *wire.Client, p wire.Presence) error {
+	session := "station-" + p.Device
+	var ack wire.IngestAck
+	if err := c.Call(wire.MsgIngestHello, wire.IngestHello{Session: session, Station: session, Room: 1}, &ack); err != nil {
+		return err
+	}
+	return c.Call(wire.MsgPresenceBatch, wire.PresenceBatch{Session: session, Seq: ack.Acked + 1, Deltas: []wire.Presence{p}}, &ack)
 }
 
 // simCell simulates one workstation cell whose deltas travel over TCP.
@@ -93,23 +105,25 @@ func newSimCell(t *testing.T, addr string, room graph.NodeID, seed int64, device
 	t.Helper()
 	client := dial(t, addr)
 	station := building.StationAddr(int(room))
-	if err := client.Call(wire.MsgHello, wire.Hello{
-		Station: station.String(), Room: room,
-	}, nil); err != nil {
+	session := station.String()
+	var ack wire.IngestAck
+	if err := client.Call(wire.MsgIngestHello, wire.IngestHello{
+		Session: session, Station: station.String(), Room: room,
+	}, &ack); err != nil {
 		t.Fatal(err)
 	}
+	seq := ack.Acked
 	k := sim.NewKernel(seed)
 	med := radio.NewMedium()
 	med.Place(radio.Station{Addr: station, Pos: radio.Point{}})
 	ctrl := hci.New(k, hci.Config{Addr: station}, med)
 	t.Cleanup(ctrl.Close)
+	// Each reported batch is one sequenced frame of the cell's session.
 	rep := reportFunc(func(deltas []wire.Presence) error {
-		for _, p := range deltas {
-			if err := client.Call(wire.MsgPresence, p, nil); err != nil {
-				return err
-			}
-		}
-		return nil
+		seq++
+		return client.Call(wire.MsgPresenceBatch, wire.PresenceBatch{
+			Session: session, Seq: seq, Deltas: deltas,
+		}, &ack)
 	})
 	ws, err := workstation.New(k, ctrl, workstation.Config{Room: room}, rep)
 	if err != nil {
@@ -235,9 +249,9 @@ func TestManyClientsConcurrently(t *testing.T) {
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := setup.Call(wire.MsgPresence, wire.Presence{
+	if err := stationReport(setup, wire.Presence{
 		Device: dev.String(), Room: 5, At: 10, Present: true,
-	}, nil); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -19,16 +19,15 @@ type Frame struct {
 }
 
 // Batcher is the pure client-side state machine of an ingest session:
-// it buffers deltas, cuts them into sequenced frames, and tracks the
-// unacked window for resume. It does no I/O and keeps no clock — the
-// Client (wall time) and the workstation's flush ticks (simulation
-// time) drive it — and it is not safe for concurrent use on its own;
-// Client wraps it with a lock.
+// it seals reported batches into sequenced frames and tracks the unacked
+// window for resume. It does no I/O and keeps no clock — the caller's
+// batch boundaries (the workstation's flush ticks, on simulation time)
+// are the frame boundaries — and it is not safe for concurrent use on
+// its own; Client wraps it with a lock.
 type Batcher struct {
 	maxBatch int
 	nextSeq  uint64
 	acked    uint64
-	pending  []wire.Presence
 	unacked  []Frame
 	skipped  int64
 }
@@ -46,48 +45,9 @@ func NewBatcher(maxBatch int) *Batcher {
 	return &Batcher{maxBatch: maxBatch, nextSeq: 1}
 }
 
-// Add buffers one delta and reports whether the pending buffer reached
-// the frame size (time to Cut).
-func (b *Batcher) Add(p wire.Presence) (full bool) {
-	b.pending = append(b.pending, p)
-	return len(b.pending) >= b.maxBatch
-}
-
-// Cut seals up to one frame's worth of pending deltas into the next
-// sequenced frame and moves it onto the unacked queue, leaving any
-// excess pending (call again to keep cutting). It returns false when
-// nothing is pending.
-func (b *Batcher) Cut() (Frame, bool) {
-	if len(b.pending) == 0 {
-		return Frame{}, false
-	}
-	n := len(b.pending)
-	if n > b.maxBatch {
-		n = b.maxBatch
-	}
-	f := Frame{Seq: b.nextSeq, Deltas: b.pending[:n:n]}
-	b.nextSeq++
-	b.pending = b.pending[n:]
-	if len(b.pending) == 0 {
-		b.pending = nil
-	}
-	b.unacked = append(b.unacked, f)
-	return f, true
-}
-
-// CutAll drains the whole pending buffer into frames.
-func (b *Batcher) CutAll() {
-	for {
-		if _, ok := b.Cut(); !ok {
-			return
-		}
-	}
-}
-
-// CutFrame seals an externally assembled batch (e.g. a workstation
-// flush) directly into the next sequenced frame, bypassing the pending
-// buffer. Deltas beyond the frame size are split into multiple frames;
-// the returned slice lists every frame cut, in order.
+// CutFrame seals a batch (e.g. a workstation flush) into the next
+// sequenced frame. Deltas beyond the frame size are split into multiple
+// frames; the returned slice lists every frame cut, in order.
 func (b *Batcher) CutFrame(deltas []wire.Presence) []Frame {
 	var out []Frame
 	for len(deltas) > 0 {
@@ -159,9 +119,6 @@ func (b *Batcher) Acked() uint64 { return b.acked }
 // Skipped counts frames retired by Next without being sent — frames a
 // restarted station regenerated that the server had already applied.
 func (b *Batcher) Skipped() int64 { return b.skipped }
-
-// Pending returns the number of buffered-but-uncut deltas.
-func (b *Batcher) Pending() int { return len(b.pending) }
 
 // Unacked returns the number of cut frames not yet acked (including
 // ones Next would drop as pre-acked).

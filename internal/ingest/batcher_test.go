@@ -13,23 +13,18 @@ func delta(i int) wire.Presence {
 
 func TestBatcherCutAndAck(t *testing.T) {
 	b := NewBatcher(3)
-	if _, ok := b.Cut(); ok {
-		t.Fatal("Cut on empty batcher returned a frame")
+	if frames := b.CutFrame(nil); len(frames) != 0 {
+		t.Fatalf("CutFrame of nothing cut %+v", frames)
 	}
-	if full := b.Add(delta(1)); full {
-		t.Fatal("full after 1 of 3")
+	if _, ok := b.Next(); ok {
+		t.Fatal("Next on empty batcher returned a frame")
 	}
-	b.Add(delta(2))
-	if full := b.Add(delta(3)); !full {
-		t.Fatal("not full after 3 of 3")
+	f := b.CutFrame([]wire.Presence{delta(1), delta(2), delta(3)})
+	if len(f) != 1 || f[0].Seq != 1 || len(f[0].Deltas) != 3 {
+		t.Fatalf("first frame = %+v", f)
 	}
-	f, ok := b.Cut()
-	if !ok || f.Seq != 1 || len(f.Deltas) != 3 {
-		t.Fatalf("first frame = %+v, ok=%v", f, ok)
-	}
-	b.Add(delta(4))
-	f2, _ := b.Cut()
-	if f2.Seq != 2 || len(f2.Deltas) != 1 {
+	f2 := b.CutFrame([]wire.Presence{delta(4)})
+	if len(f2) != 1 || f2[0].Seq != 2 || len(f2[0].Deltas) != 1 {
 		t.Fatalf("second frame = %+v", f2)
 	}
 
@@ -78,10 +73,11 @@ func TestBatcherCutFrameSplits(t *testing.T) {
 func TestBatcherResumeSkipsRegenerated(t *testing.T) {
 	b := NewBatcher(2)
 	b.Ack(3) // resume: server already applied frames 1..3 in a previous life
-	for i := 0; i < 8; i++ {
-		b.Add(delta(i))
+	deltas := make([]wire.Presence, 8)
+	for i := range deltas {
+		deltas[i] = delta(i)
 	}
-	b.CutAll()
+	b.CutFrame(deltas)
 	f, ok := b.Next()
 	if !ok || f.Seq != 4 {
 		t.Fatalf("Next = %+v ok=%v, want frame 4 (1..3 skipped)", f, ok)
@@ -96,8 +92,7 @@ func TestBatcherResumeSkipsRegenerated(t *testing.T) {
 func TestBatcherRebase(t *testing.T) {
 	b := NewBatcher(1)
 	for i := 0; i < 6; i++ {
-		b.Add(delta(i))
-		b.Cut()
+		b.CutFrame([]wire.Presence{delta(i)})
 	}
 	b.Ack(4) // frames 1..4 delivered; 5, 6 in the backlog
 	b.Rebase(0)
@@ -110,10 +105,7 @@ func TestBatcherRebase(t *testing.T) {
 	if f.Seq != 2 {
 		t.Fatalf("second rebased frame = %d, want 2", f.Seq)
 	}
-	b.Add(delta(9))
-	b.Cut()
-	f2, _ := b.Next()
-	_ = f2
+	b.CutFrame([]wire.Presence{delta(9)})
 	b.Ack(2)
 	f3, ok := b.Next()
 	if !ok || f3.Seq != 3 {

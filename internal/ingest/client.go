@@ -13,9 +13,6 @@ import (
 
 // Client defaults.
 const (
-	// DefaultMaxDelay bounds how long a buffered delta waits for its
-	// frame to fill before a partial frame is flushed anyway.
-	DefaultMaxDelay = 50 * time.Millisecond
 	// DefaultDialTimeout bounds one connection attempt.
 	DefaultDialTimeout = 5 * time.Second
 	// DefaultMinBackoff / DefaultMaxBackoff bound the exponential
@@ -37,11 +34,6 @@ type ClientConfig struct {
 	// MaxBatch is the frame size (deltas per frame); 0 selects
 	// DefaultMaxBatch.
 	MaxBatch int
-	// MaxDelay flushes a partial frame after this wall-clock delay;
-	// 0 selects DefaultMaxDelay, negative disables the timer (the
-	// caller flushes explicitly — e.g. a workstation cutting frames on
-	// simulation time, which keeps frame boundaries deterministic).
-	MaxDelay time.Duration
 	// DialTimeout bounds one connection attempt; 0 selects
 	// DefaultDialTimeout.
 	DialTimeout time.Duration
@@ -59,9 +51,6 @@ func (c *ClientConfig) fill() error {
 	}
 	if c.Session == "" {
 		return errors.New("ingest: no session id")
-	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = DefaultMaxDelay
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = DefaultDialTimeout
@@ -94,21 +83,21 @@ type ClientStats struct {
 	// WireErrors counts MsgError responses (protocol violations — a
 	// healthy station never sees one).
 	WireErrors int64
-	// PendingDeltas and UnackedFrames describe the current backlog.
-	PendingDeltas int64
+	// UnackedFrames describes the current backlog.
 	UnackedFrames int64
 }
 
-// Client is the station side of an ingest session: it buffers deltas
-// into sequenced frames and streams them to the server, reconnecting
-// with exponential backoff and resuming from the server's cumulative
-// ack after any interruption — a severed TCP connection, a restarted
-// server connection handler, or its own process restart (same Session).
+// Client is the station side of an ingest session: it seals each
+// reported batch into sequenced frames and streams them to the server,
+// reconnecting with exponential backoff and resuming from the server's
+// cumulative ack after any interruption — a severed TCP connection, a
+// restarted server connection handler, or its own process restart (same
+// Session).
 //
-// Report/ReportBatch never touch the network: they buffer under a
-// mutex and return immediately, so a partition back-pressures into
-// memory instead of stalling the reporting workstation. A single sender
-// goroutine owns all I/O. Client implements workstation.Reporter.
+// ReportBatch never touches the network: it queues under a mutex and
+// returns immediately, so a partition back-pressures into memory instead
+// of stalling the reporting workstation. A single sender goroutine owns
+// all I/O. Client implements workstation.Reporter.
 type Client struct {
 	cfg ClientConfig
 
@@ -145,26 +134,11 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	return c, nil
 }
 
-// Report buffers one delta, cutting a frame when the buffer fills. It
-// never blocks on the network and never fails while the client is open.
-func (c *Client) Report(p wire.Presence) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return errors.New("ingest: client closed")
-	}
-	if c.b.Add(p) {
-		c.b.Cut()
-	}
-	c.mu.Unlock()
-	c.wake()
-	return nil
-}
-
 // ReportBatch seals an externally assembled batch straight into
 // sequenced frames (workstation.Reporter). One call is one frame
 // (or several, if the batch exceeds the frame size) — callers that cut
-// on deterministic boundaries get deterministic frames.
+// on deterministic boundaries get deterministic frames. It never blocks
+// on the network and never fails while the client is open.
 func (c *Client) ReportBatch(deltas []wire.Presence) error {
 	if len(deltas) == 0 {
 		return nil
@@ -180,18 +154,8 @@ func (c *Client) ReportBatch(deltas []wire.Presence) error {
 	return nil
 }
 
-// Flush seals any buffered deltas into frames and kicks the sender.
-func (c *Client) Flush() {
-	c.mu.Lock()
-	c.b.CutAll()
-	c.mu.Unlock()
-	c.wake()
-}
-
-// Drain flushes and then blocks until every frame is acked or the
-// timeout expires.
+// Drain blocks until every frame is acked or the timeout expires.
 func (c *Client) Drain(timeout time.Duration) error {
-	c.Flush()
 	deadline := time.Now().Add(timeout)
 	wake := time.AfterFunc(timeout, func() {
 		c.mu.Lock()
@@ -201,7 +165,7 @@ func (c *Client) Drain(timeout time.Duration) error {
 	defer wake.Stop()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for c.backlogLocked() > 0 {
+	for c.b.UnackedDeltas() > 0 {
 		if c.closed {
 			return errors.New("ingest: client closed with frames unacked")
 		}
@@ -212,9 +176,6 @@ func (c *Client) Drain(timeout time.Duration) error {
 	}
 	return nil
 }
-
-// backlogLocked counts undelivered work. Caller holds c.mu.
-func (c *Client) backlogLocked() int { return c.b.Pending() + c.b.UnackedDeltas() }
 
 // Close stops the sender and closes the connection. It does not wait
 // for unacked frames — call Drain first for a graceful shutdown. The
@@ -247,7 +208,6 @@ func (c *Client) Stats() ClientStats {
 	st := c.stats
 	st.Acked = c.b.Acked()
 	st.SkippedFrames = c.b.Skipped()
-	st.PendingDeltas = int64(c.b.Pending())
 	st.UnackedFrames = int64(c.b.Unacked())
 	return st
 }
@@ -271,13 +231,6 @@ func (c *Client) logf(format string, args ...any) {
 // resume from the server's cumulative ack.
 func (c *Client) sendLoop() {
 	defer close(c.done)
-	var ticker *time.Ticker
-	var tick <-chan time.Time
-	if c.cfg.MaxDelay > 0 {
-		ticker = time.NewTicker(c.cfg.MaxDelay)
-		tick = ticker.C
-		defer ticker.Stop()
-	}
 	backoff := c.cfg.MinBackoff
 	for {
 		c.mu.Lock()
@@ -288,10 +241,6 @@ func (c *Client) sendLoop() {
 			case <-c.stop:
 				return
 			case <-c.kick:
-			case <-tick:
-				c.mu.Lock()
-				c.b.CutAll()
-				c.mu.Unlock()
 			}
 			continue
 		}
@@ -361,7 +310,7 @@ func (c *Client) ackFrames(acked uint64) {
 	before := c.b.UnackedDeltas()
 	c.b.Ack(acked)
 	c.stats.DeltasAcked += int64(before - c.b.UnackedDeltas())
-	if c.backlogLocked() == 0 {
+	if c.b.UnackedDeltas() == 0 {
 		c.drain.Broadcast()
 	}
 	c.mu.Unlock()

@@ -112,7 +112,6 @@ func newTestClient(t *testing.T, addr, session string) *ingest.Client {
 		Station:    "S",
 		Room:       1,
 		MaxBatch:   16,
-		MaxDelay:   -1, // deterministic frame boundaries: caller flushes
 		MinBackoff: 5 * time.Millisecond,
 		MaxBackoff: 50 * time.Millisecond,
 		Logf:       t.Logf,
@@ -124,21 +123,35 @@ func newTestClient(t *testing.T, addr, session string) *ingest.Client {
 	return c
 }
 
+// reportChunks reports stream through ReportBatch in calls of chunk
+// deltas, counted from the start of the stream, until a call starts at
+// or past upTo. Each call seals its own frames, so every run (and every
+// life of a restarted station) with the same chunk cuts the same frames.
+func reportChunks(t *testing.T, c *ingest.Client, stream []wire.Presence, chunk, upTo int, after func(end int)) {
+	t.Helper()
+	for i := 0; i < upTo; i += chunk {
+		end := min(i+chunk, len(stream))
+		if err := c.ReportBatch(stream[i:end]); err != nil {
+			t.Fatal(err)
+		}
+		if after != nil {
+			after(end)
+		}
+	}
+}
+
 // TestClientStreamsAndDrains: the happy path end to end.
 func TestClientStreamsAndDrains(t *testing.T) {
 	const devs = 8
 	s, addr := startServer(t, devs)
 	c := newTestClient(t, addr, "happy")
-	for _, p := range testStream(400, devs) {
-		if err := c.Report(p); err != nil {
-			t.Fatal(err)
-		}
-	}
+	stream := testStream(400, devs)
+	reportChunks(t, c, stream, 37, len(stream), nil)
 	if err := c.Drain(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
-	if st.DeltasAcked != 400 || st.UnackedFrames != 0 || st.PendingDeltas != 0 {
+	if st.DeltasAcked != 400 || st.UnackedFrames != 0 {
 		t.Fatalf("stats after drain = %+v", st)
 	}
 	if got := s.DB().Stats().Updates; got == 0 {
@@ -159,14 +172,7 @@ func TestClientSurvivesConnectionDrops(t *testing.T) {
 	// Reference: uninterrupted run.
 	refSrv, refAddr := startServer(t, devs)
 	ref := newTestClient(t, refAddr, "station-1")
-	for i, p := range stream {
-		if err := ref.Report(p); err != nil {
-			t.Fatal(err)
-		}
-		if i%37 == 0 {
-			ref.Flush()
-		}
-	}
+	reportChunks(t, ref, stream, 37, n, nil)
 	if err := ref.Drain(15 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -179,19 +185,14 @@ func TestClientSurvivesConnectionDrops(t *testing.T) {
 	// the next deltas arrive.
 	chaosSrv, chaosAddr := startServer(t, devs)
 	chaos := newTestClient(t, chaosAddr, "station-1")
-	for i, p := range stream {
-		if err := chaos.Report(p); err != nil {
-			t.Fatal(err)
-		}
-		if i%37 == 0 {
-			chaos.Flush()
-		}
-		if i%300 == 299 {
+	const chunk = 37
+	reportChunks(t, chaos, stream, chunk, n, func(end int) {
+		if (end-chunk)/300 != end/300 {
 			waitFor(t, 10*time.Second, func() bool { return chaos.Stats().DeltasAcked > 0 })
 			chaos.KillConn()
 			time.Sleep(10 * time.Millisecond)
 		}
-	}
+	})
 	if err := chaos.Drain(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -225,61 +226,40 @@ func TestClientSurvivesConnectionDrops(t *testing.T) {
 func TestClientResumesAcrossRestart(t *testing.T) {
 	const devs = 6
 	const n = 900
+	const chunk = 29
 	stream := testStream(n, devs)
-	flush := func(c *ingest.Client, i int) {
-		if i%29 == 0 {
-			c.Flush()
-		}
-	}
 
 	refSrv, refAddr := startServer(t, devs)
 	ref := newTestClient(t, refAddr, "station-7")
-	for i, p := range stream {
-		if err := ref.Report(p); err != nil {
-			t.Fatal(err)
-		}
-		flush(ref, i)
-	}
+	reportChunks(t, ref, stream, chunk, n, nil)
 	if err := ref.Drain(15 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 
 	srv, addr := startServer(t, devs)
-	// First life: stream part of the deltas. Only the deterministic cut
-	// points (frame full, i%29 flush) seal frames — a SIGKILLed station
-	// never gets to flush its tail, and the cut points must reproduce
-	// identically in the second life for resume-by-sequence to be
-	// sound. The background sender delivers what was cut; once the
-	// server has real progress, the station "dies" with its buffered
-	// tail.
+	// First life: stream part of the deltas. The cut points (frame full,
+	// one ReportBatch call per chunk) must reproduce identically in the
+	// second life for resume-by-sequence to be sound. The background
+	// sender delivers what was cut; once the server has real progress,
+	// the station "dies" with its unacked frames.
 	first := newTestClient(t, addr, "station-7")
-	for i, p := range stream[:600] {
-		if err := first.Report(p); err != nil {
-			t.Fatal(err)
-		}
-		flush(first, i)
-	}
+	reportChunks(t, first, stream, chunk, 600, nil)
 	waitFor(t, 15*time.Second, func() bool {
 		acked, _ := srv.Ingest().Acked("station-7")
 		return acked > 0
 	})
-	first.Close() // SIGKILL: buffered state is gone
+	first.Close() // SIGKILL: unacked frames are gone
 
 	acked, ok := srv.Ingest().Acked("station-7")
 	if !ok || acked == 0 {
 		t.Fatalf("server session state missing after first life: acked=%d ok=%v", acked, ok)
 	}
 
-	// Second life: same seed -> same stream from the start, same flush
+	// Second life: same seed -> same stream from the start, same chunk
 	// boundaries -> same frames. The resume ack retires the regenerated
 	// prefix without sending it.
 	second := newTestClient(t, addr, "station-7")
-	for i, p := range stream {
-		if err := second.Report(p); err != nil {
-			t.Fatal(err)
-		}
-		flush(second, i)
-	}
+	reportChunks(t, second, stream, chunk, n, nil)
 	if err := second.Drain(15 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -313,12 +293,7 @@ func TestClientRebasesOnSessionLoss(t *testing.T) {
 
 	c := newTestClient(t, addr, "station-9")
 	stream := testStream(200, devs)
-	for _, p := range stream[:100] {
-		if err := c.Report(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Flush()
+	reportChunks(t, c, stream[:100], 100, 100, nil)
 	if err := c.Drain(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -346,12 +321,7 @@ func TestClientRebasesOnSessionLoss(t *testing.T) {
 
 	// Stream the rest; the client reconnects, sees acked=0 < its own
 	// ack, rebases, and delivers the tail onto the fresh server.
-	for _, p := range stream[100:] {
-		if err := c.Report(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Flush()
+	reportChunks(t, c, stream[100:], 100, 100, nil)
 	if err := c.Drain(20 * time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -24,9 +24,9 @@
 //
 // Three pieces implement this: Pipeline (server side: the session table
 // plus the grouped apply through locdb's batch-mutation API), Batcher
-// (client side: the pure buffering/sequencing state machine), and
-// Client (client side: a reconnecting wall-clock stream with backoff,
-// used by cmd/bips-station). internal/workstation cuts deterministic
+// (client side: the pure sequencing and resume state machine), and
+// Client (client side: a reconnecting stream with backoff, used by
+// cmd/bips-station). internal/workstation cuts deterministic
 // frames on simulation time for a workstation.Reporter: a Client, or a
 // Pipeline session in the in-process deployment (internal/core), so
 // every presence delta takes this one write path. See docs/PROTOCOL.md

@@ -329,28 +329,3 @@ func BenchmarkEventBurstFlush(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(counted.writes.Load()-startWrites)/float64(b.N), "writes/event")
 }
-
-// BenchmarkServeConnBatch measures the bulk path: one envelope carrying
-// 32 batched locate requests. Reported per sub-request.
-func BenchmarkServeConnBatch(b *testing.B) {
-	s := benchServer(b, locdb.DefaultShards)
-	cliConn, srvConn := net.Pipe()
-	go s.ServeConn(srvConn)
-	client := wire.NewClient(wire.NewFrameCodec(cliConn))
-	defer client.Close()
-
-	const batch = 32
-	var req wire.Batch
-	for i := 0; i < batch; i++ {
-		if err := req.Add(wire.MsgLocate, wire.Locate{Querier: "alice", Target: "bob"}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for n := 0; n < b.N; n += batch {
-		var res wire.BatchResult
-		if err := client.Call(wire.MsgBatch, req, &res); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -229,7 +229,7 @@ func TestFanOutSmoke5000Subscriptions(t *testing.T) {
 		lat.mu.Lock()
 		lat.sent[at] = time.Now()
 		lat.mu.Unlock()
-		if err := driver.Call(wire.MsgPresence, presenceAt(probeDev, room, at, true), nil); err != nil {
+		if err := server.StationReport(driver, presenceAt(probeDev, room, at, true)); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(5 * time.Millisecond)

@@ -70,25 +70,12 @@ func benchDelta(i, devs int) wire.Presence {
 }
 
 // BenchmarkIngestDelta measures the workstation write path end to end
-// over TCP, in ns per delta: "single" is the pre-ingest protocol (one
-// MsgPresence envelope per delta, stop-and-wait, as bips-station shipped
-// before the ingest subsystem), "batched" is the ingest session
-// protocol (MsgPresenceBatch frames of DefaultMaxBatch*4 deltas,
-// stop-and-wait per frame). The batched/single deltas-per-second ratio
-// is what the ingest protocol was accepted on (bar: >= 5x).
+// over TCP, in ns per delta: an ingest session streaming
+// MsgPresenceBatch frames of DefaultMaxBatch*4 deltas, stop-and-wait per
+// frame.
 func BenchmarkIngestDelta(b *testing.B) {
 	const devs = 64
 	const frame = 256
-
-	b.Run("single", func(b *testing.B) {
-		c := benchIngestSetup(b, devs)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := c.Call(wire.MsgPresence, benchDelta(i, devs), nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 
 	b.Run("batched", func(b *testing.B) {
 		c := benchIngestSetup(b, devs)

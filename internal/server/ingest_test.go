@@ -198,7 +198,8 @@ func TestIngestRejectedDeltasDoNotWedge(t *testing.T) {
 }
 
 // TestIngestMatchesSingleDeltaPath: the batched pipeline must leave the
-// location database byte-identical to the per-delta MsgPresence path.
+// location database byte-identical to applying the same deltas one at a
+// time through ReportDelta.
 func TestIngestMatchesSingleDeltaPath(t *testing.T) {
 	deltas := make([]wire.Presence, 0, 200)
 	for i := 0; i < 200; i++ {
@@ -236,9 +237,8 @@ func TestIngestMatchesSingleDeltaPath(t *testing.T) {
 
 	single := newServer(t)
 	login(single)
-	cs := ingestClient(t, single)
 	for _, p := range deltas {
-		if err := cs.Call(wire.MsgPresence, p, nil); err != nil {
+		if err := single.ReportDelta(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -349,66 +349,5 @@ func TestIngestPipelinedFrames(t *testing.T) {
 	}
 	if gaps := s.Ingest().Stats()["seq_gaps"]; gaps != 0 {
 		t.Fatalf("ingest.seq_gaps = %d, want 0", gaps)
-	}
-}
-
-// TestIngestFrameInsideBatchKeepsOrder: a batch may carry a
-// presence.batch, so a batch takes the connection's turn like a
-// standalone frame. A standalone frame pipelined behind a stalled batch
-// must wait for the frame inside it instead of overtaking it as a gap.
-func TestIngestFrameInsideBatchKeepsOrder(t *testing.T) {
-	s := newServer(t)
-	if err := s.Login(wire.Login{User: "alice", Password: pw, Device: wire.FormatAddr(devA)}); err != nil {
-		t.Fatal(err)
-	}
-	s.SetBeforeHandle(func(mt wire.MsgType) {
-		if mt == wire.MsgBatch {
-			time.Sleep(50 * time.Millisecond)
-		}
-	})
-	conn := servePipe(t, s)
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	codec := wire.NewFrameCodec(conn)
-	hello := wire.AppendEnvelope(nil, wire.MsgIngestHello, 1, wire.IngestHello{Session: "st", Station: "S", Room: 1})
-	if err := codec.SendPayload(hello); err != nil {
-		t.Fatal(err)
-	}
-	if env, err := codec.Recv(); err != nil || env.Type != wire.MsgIngestAck {
-		t.Fatalf("hello answer = %+v, %v", env, err)
-	}
-
-	var b wire.Batch
-	if err := b.Add(wire.MsgPresenceBatch, ingestFrame("st", 1, presenceAt(wire.FormatAddr(devA), 1, 10, true))); err != nil {
-		t.Fatal(err)
-	}
-	inBatch, err := wire.MarshalBody(wire.MsgBatch, 2, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, payload := range [][]byte{
-		wire.AppendEnvelopeRaw(nil, inBatch),
-		wire.AppendEnvelope(nil, wire.MsgPresenceBatch, 3, ingestFrame("st", 2, presenceAt(wire.FormatAddr(devA), 2, 20, true))),
-	} {
-		if err := codec.SendPayloadNoFlush(payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := codec.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		env, err := codec.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if env.Seq == 3 {
-			var ack wire.IngestAck
-			if env.Type != wire.MsgIngestAck || wire.UnmarshalBody(env, &ack) != nil || ack.Acked != 2 {
-				t.Errorf("standalone frame 2 answered %s %s, want acked 2", env.Type, env.Body)
-			}
-		}
-	}
-	if acked, _ := s.Ingest().Acked("st"); acked != 2 {
-		t.Fatalf("session acked = %d, want 2", acked)
 	}
 }

@@ -5,29 +5,27 @@
 // service's headline feature.
 //
 // The same business-logic methods back two transports: the wire protocol
-// over TCP (the Ethernet LAN of the paper, v1 newline-JSON or v2
-// length-prefixed frames, sniffed per connection) and direct in-process
-// calls used by the simulation and the examples; either way presence
-// deltas reach the location store only as ApplyBatch frames.
+// over TCP (the Ethernet LAN of the paper, length-prefixed frames) and
+// direct in-process calls used by the simulation and the examples;
+// either way presence deltas reach the location store only as
+// ApplyBatch frames, and over the wire only inside an ingest session.
 //
 // # Connection pipeline
 //
-// A connection is a wire.FrameCodec in whichever framing the peer's
-// first byte selected, served by a reader/writer goroutine pair. The
-// reader receives requests into pooled buffers and either handles the
-// cheap reads itself (inlineRead) or hands the request to a handler
-// goroutine, with at most MaxInFlight requests executing per connection;
-// both routes run handle, which calls the one dispatch switch to append
-// the response into a pooled frame. The writer — the only goroutine
-// that writes the socket — stages queued responses and pushed
-// subscription events in completion order and flushes when the queue it
-// drew from goes idle. Responses therefore may arrive out of request
+// A connection is a wire.FrameCodec served by a reader/writer goroutine
+// pair. The reader receives requests into pooled buffers and either
+// handles the cheap reads itself (inlineRead) or hands the request to a
+// handler goroutine, with at most MaxInFlight requests executing per
+// connection; both routes run handle, which calls the one dispatch
+// switch to append the response into a pooled frame. The writer — the
+// only goroutine that writes the socket — stages queued responses and
+// pushed subscription events in completion order and flushes when the
+// queue it drew from goes idle. Responses therefore may arrive out of request
 // order — the envelope Seq is the correlation id that ties them back
 // together — which is what lets one slow navigation query overlap
-// hundreds of cheap presence deltas on the same persistent connection;
-// ingest frames
-// alone apply in arrival order (see turn). Business state is
-// safe under this concurrency: the registry and the sharded location
+// hundreds of cheap requests on the same persistent connection; ingest
+// frames alone apply in arrival order (see turn). Business state is safe
+// under this concurrency: the registry and the sharded location
 // database carry their own locks and the building is immutable after
 // construction.
 package server
@@ -266,10 +264,9 @@ func (s *Server) Logout(req wire.Logout) error {
 	return nil
 }
 
-// resolveDelta is the per-delta business validation shared by the
-// ingest pipeline and the wire presence message: it parses the device
-// address, checks the room against the building, and reports untracked
-// devices (not logged in) as skip-silently.
+// resolveDelta is the ingest pipeline's per-delta business validation:
+// it parses the device address, checks the room against the building,
+// and reports untracked devices (not logged in) as skip-silently.
 func (s *Server) resolveDelta(p wire.Presence) (locdb.Mutation, bool, error) {
 	dev, err := wire.ParseAddr(p.Device)
 	if err != nil {
@@ -483,8 +480,8 @@ func appendError(buf []byte, seq uint64, err error) []byte {
 }
 
 // errorFrame encodes a MsgError into a pooled frame for the writer
-// queues: the answer to bytes that never became a request (pre-sniff,
-// malformed) or to a connection condemned as a slow consumer.
+// queues: the answer to bytes that never became a request (malformed)
+// or to a connection condemned as a slow consumer.
 func errorFrame(seq uint64, err error) *wire.Buf {
 	buf := wire.GetBuf()
 	buf.B = appendError(buf.B, seq, err)
@@ -516,7 +513,7 @@ func (fw *flushWriter) write(buf *wire.Buf) {
 			fw.sendFailed = true
 		} else {
 			fw.frames++
-			fw.bytes += len(buf.B) + fw.tr.FrameOverhead()
+			fw.bytes += len(buf.B) + wire.FrameHeaderLen
 		}
 	}
 	buf.Release()
@@ -570,17 +567,14 @@ func inlineRead(t wire.MsgType) bool {
 // per-request goroutine handoff. Requests arrive in pooled receive
 // buffers and responses leave in pooled send buffers; see
 // docs/ARCHITECTURE.md, "Buffer ownership and release rules". A
-// malformed message is answered with a MsgError (correlation id 0,
+// malformed message — including a first frame in any framing but the
+// length-prefixed one — is answered with a MsgError (correlation id 0,
 // since a frame that failed to parse has no trustworthy sequence
 // number) and then the connection is closed; a transport error just
 // ends the connection.
 func (s *Server) ServeConn(conn io.ReadWriter) {
 	s.connTotal.Inc()
-	tr, terr := wire.ServerTransport(conn, s.flushBytes)
-	if tr == nil {
-		// Peek failed before a single byte arrived: nothing to answer.
-		return
-	}
+	tr := wire.NewFrameCodecBuffered(conn, s.flushBytes)
 
 	// Per-connection subscription state, with the pushed-event queue the
 	// writer drains next to the response queue. The raw closer (when the
@@ -594,27 +588,6 @@ func (s *Server) ServeConn(conn io.ReadWriter) {
 		defer close(writerDone)
 		cs.writeLoop(&flushWriter{srv: s, tr: tr}, out)
 	}()
-	// finish runs strictly after every handler goroutine returned, so
-	// nobody can add subscriptions anymore: cancel the connection's
-	// fan-out registrations and close both writer queues, wait for the
-	// writer to flush out, then close the underlying stream (when
-	// closable) so peers see EOF as soon as the final frame is flushed —
-	// in particular after a malformed message was answered.
-	finish := func() {
-		cs.shutdown()
-		close(out)
-		<-writerDone
-		_ = tr.Close()
-	}
-
-	if terr != nil {
-		// The very first byte already ruled out both protocol versions.
-		s.malformed.Inc()
-		out <- errorFrame(0, terr)
-		finish()
-		return
-	}
-
 	var handlers sync.WaitGroup
 	sem := make(chan struct{}, s.maxInFlight)
 	// The reader owns one receive buffer for the whole connection: an
@@ -643,7 +616,7 @@ func (s *Server) ServeConn(conn io.ReadWriter) {
 			continue
 		}
 		var t turn
-		if env.Type == wire.MsgPresenceBatch || env.Type == wire.MsgBatch {
+		if env.Type == wire.MsgPresenceBatch {
 			t = turn{prev: last, done: make(chan struct{})}
 			last = t.done
 		}
@@ -662,8 +635,17 @@ func (s *Server) ServeConn(conn io.ReadWriter) {
 		}(env)
 	}
 	readBuf.Release()
+	// Every handler has returned, so nobody can add subscriptions
+	// anymore: cancel the connection's fan-out registrations and close
+	// both writer queues, wait for the writer to flush out, then close
+	// the underlying stream (when closable) so peers see EOF as soon as
+	// the final frame is flushed — in particular after a malformed
+	// message was answered.
 	handlers.Wait()
-	finish()
+	cs.shutdown()
+	close(out)
+	<-writerDone
+	_ = tr.Close()
 }
 
 // handle executes one request, on the reader goroutine (inlineRead) or
@@ -680,9 +662,8 @@ func (s *Server) handle(cs *connSubs, t turn, env wire.Envelope) *wire.Buf {
 	return resp
 }
 
-// turn orders a connection's presence-writing frames (presence.batch,
-// and batch, which may carry one): the reader hands each the previous
-// one's done channel as prev and a fresh done. The handler decodes
+// turn orders a connection's presence.batch frames: the reader hands
+// each the previous one's done channel as prev and a fresh done. The handler decodes
 // concurrently, then takes the turn (waits on prev) before applying and
 // releases it (closes done) after, on every path — decode errors
 // included — so frames apply in arrival order. The zero turn orders
@@ -706,7 +687,7 @@ func (t turn) release() {
 // entry point the allocation-budget suite and benchmarks measure;
 // ServeConn goes through the same code. env.Body may alias a
 // caller-owned buffer — it is dead once the call returns. Subscription
-// management types are not supported (they need per-connection state).
+// management types are answered bad-request: they need a connection.
 func (s *Server) DispatchBytes(env wire.Envelope, buf []byte) []byte {
 	return s.dispatch(nil, turn{}, env, buf)
 }
@@ -716,10 +697,9 @@ func (s *Server) DispatchBytes(env wire.Envelope, buf []byte) []byte {
 // goroutines and must stay safe for concurrent use; all mutable state it
 // touches is behind the registry and location-database locks. env.Body
 // may alias a pooled request buffer — it is dead once this function
-// returns. cs carries the connection's subscription state; it is nil
-// inside a batch, where subscription management is not allowed (a batch
-// answers once, a subscription pushes forever). t is the frame's turn
-// in its connection's write order (see turn).
+// returns. cs carries the connection's subscription state (nil from
+// DispatchBytes). t is the frame's turn in its connection's write order
+// (see turn).
 //
 // The hot read and ingest types are decoded and encoded through the wire
 // package's zero-allocation paths; everything else goes through
@@ -802,19 +782,6 @@ func (s *Server) dispatch(cs *connSubs, t turn, env wire.Envelope, buf []byte) [
 			return fail(fmt.Errorf("%w: room %d", building.ErrUnknownRoom, h.Room))
 		}
 		return ok(wire.MsgOK, struct{}{})
-	case wire.MsgPresence:
-		var p wire.Presence
-		if err := wire.UnmarshalBody(env, &p); err != nil {
-			return fail(err)
-		}
-		m, track, err := s.resolveDelta(p)
-		if err != nil {
-			return fail(err)
-		}
-		if track {
-			s.db.ApplyBatch([]locdb.Mutation{m})
-		}
-		return ok(wire.MsgOK, struct{}{})
 	case wire.MsgLogin:
 		var l wire.Login
 		if err := wire.UnmarshalBody(env, &l); err != nil {
@@ -875,7 +842,7 @@ func (s *Server) dispatch(cs *connSubs, t turn, env wire.Envelope, buf []byte) [
 			return fail(err)
 		}
 		if cs == nil {
-			return fail(fmt.Errorf("%w: subscribe inside a batch", wire.ErrMalformed))
+			return fail(fmt.Errorf("%w: %s needs a connection", wire.ErrMalformed, env.Type))
 		}
 		f, err := s.resolveFilter(sub)
 		if err != nil {
@@ -894,7 +861,7 @@ func (s *Server) dispatch(cs *connSubs, t turn, env wire.Envelope, buf []byte) [
 			return fail(err)
 		}
 		if cs == nil {
-			return fail(fmt.Errorf("%w: unsubscribe inside a batch", wire.ErrMalformed))
+			return fail(fmt.Errorf("%w: %s needs a connection", wire.ErrMalformed, env.Type))
 		}
 		if err := cs.drop(unsub.ID); err != nil {
 			return fail(err)
@@ -934,37 +901,8 @@ func (s *Server) dispatch(cs *connSubs, t turn, env wire.Envelope, buf []byte) [
 		return ok(wire.MsgRoomsResult, s.RoomsInfo())
 	case wire.MsgStats:
 		return ok(wire.MsgStatsResult, s.StatsResult())
-	case wire.MsgBatch:
-		var b wire.Batch
-		err := wire.UnmarshalBody(env, &b)
-		// The whole batch holds the connection's turn: a presence.batch
-		// inside it is ordered against the connection's other frames.
-		t.take()
-		if err != nil {
-			t.release()
-			return fail(err)
-		}
-		// Sequential execution in request order, each inner response
-		// appended straight into the batch.result body; inner failures
-		// become inner MsgError responses without aborting the batch.
-		// Subscription management is excluded (nil cs).
-		buf = wire.AppendEnvelopePrefix(buf, wire.MsgBatchResult, env.Seq)
-		buf = append(buf, `{"responses":[`...)
-		for i, req := range b.Requests {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			if req.Type == wire.MsgBatch {
-				s.errCount.Inc()
-				buf = appendError(buf, req.Seq, fmt.Errorf("%w: nested batch", wire.ErrMalformed))
-				continue
-			}
-			buf = s.dispatch(nil, turn{}, req, buf)
-		}
-		t.release()
-		return append(buf, `]}}`...)
 	default:
-		return fail(fmt.Errorf("unknown message type %q", env.Type))
+		return fail(fmt.Errorf("%w: unknown message type %q", wire.ErrMalformed, env.Type))
 	}
 }
 

@@ -176,7 +176,7 @@ func dialPipe(t *testing.T, s *Server) *wire.Client {
 		a.Close()
 		b.Close()
 	})
-	return wire.NewClient(wire.NewCodec(a))
+	return wire.NewClient(wire.NewFrameCodec(a))
 }
 
 func TestWireEndToEnd(t *testing.T) {
@@ -200,7 +200,7 @@ func TestWireEndToEnd(t *testing.T) {
 		{Device: wire.FormatAddr(devA), Room: 1, At: 5, Present: true},
 		{Device: wire.FormatAddr(devB), Room: 5, At: 6, Present: true},
 	} {
-		if err := client.Call(wire.MsgPresence, p, nil); err != nil {
+		if err := StationReport(client, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -234,7 +234,7 @@ func TestWireErrorCodes(t *testing.T) {
 		{"unknown user", wire.MsgLogin, wire.Login{User: "ghost", Password: pw, Device: wire.FormatAddr(devA)}, wire.CodeNotFound},
 		{"locate offline", wire.MsgLocate, wire.Locate{Querier: "alice", Target: "bob"}, wire.CodeNotFound},
 		{"bad hello room", wire.MsgHello, wire.Hello{Station: "x", Room: 999}, wire.CodeNotFound},
-		{"unknown type", wire.MsgType("bogus"), struct{}{}, wire.CodeInternal},
+		{"unknown type", wire.MsgType("bogus"), struct{}{}, wire.CodeBadRequest},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
@@ -263,7 +263,7 @@ func TestServeOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := wire.NewClient(wire.NewCodec(conn))
+	client := wire.NewClient(wire.NewFrameCodec(conn))
 	if err := client.Call(wire.MsgLogin, wire.Login{
 		User: "alice", Password: pw, Device: wire.FormatAddr(devA),
 	}, nil); err != nil {

@@ -61,38 +61,6 @@ func servePipe(t *testing.T, s *server.Server) net.Conn {
 	return a
 }
 
-// TestMalformedV1GetsErrorResponse: a line that is not JSON must be
-// answered with MsgError (code bad-request) before the connection closes —
-// not silently dropped.
-func TestMalformedV1GetsErrorResponse(t *testing.T) {
-	s := newServer(t)
-	conn := servePipe(t, s)
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-
-	if _, err := conn.Write([]byte("{this is not json}\n")); err != nil {
-		t.Fatal(err)
-	}
-	codec := wire.NewCodec(conn)
-	env, err := codec.Recv()
-	if err != nil {
-		t.Fatalf("expected an error response, got transport error %v", err)
-	}
-	if env.Type != wire.MsgError || env.Seq != 0 {
-		t.Fatalf("response = %+v, want MsgError seq 0", env)
-	}
-	var werr wire.Error
-	if err := wire.UnmarshalBody(env, &werr); err != nil {
-		t.Fatal(err)
-	}
-	if werr.Code != wire.CodeBadRequest {
-		t.Errorf("code = %q, want %q", werr.Code, wire.CodeBadRequest)
-	}
-	// The server closes its end after answering.
-	if _, err := codec.Recv(); err == nil {
-		t.Error("connection still open after malformed message")
-	}
-}
-
 // TestMalformedV2GetsErrorResponse: a v2 frame with a hostile length
 // prefix is rejected with MsgError over the v2 framing, then closed.
 func TestMalformedV2GetsErrorResponse(t *testing.T) {
@@ -127,47 +95,19 @@ func TestMalformedV2GetsErrorResponse(t *testing.T) {
 	}
 }
 
-// TestUnknownProtocolByte: a first byte that is neither '{' (v1) nor the
-// v2 magic gets a best-effort v1 error and a closed connection.
+// TestUnknownProtocolByte: the first frame's header decides the
+// protocol. A stream that opens with anything but the frame magic and
+// version — a newline-JSON line of the removed v1 framing, an HTTP
+// request, megabytes that never form a header — is answered with one
+// framed bad-request at correlation id 0, then EOF.
 func TestUnknownProtocolByte(t *testing.T) {
-	s := newServer(t)
-	conn := servePipe(t, s)
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-
-	if _, err := conn.Write([]byte("GET / HTTP/1.1\r\n")); err != nil {
-		t.Fatal(err)
-	}
-	codec := wire.NewCodec(conn)
-	env, err := codec.Recv()
-	if err != nil {
-		t.Fatalf("expected an error response, got transport error %v", err)
-	}
-	if env.Type != wire.MsgError {
-		t.Fatalf("response = %+v, want MsgError", env)
-	}
-}
-
-// TestV1LineBounded: a v1 line is bounded at wire.MaxFramePayload like a
-// v2 payload. A peer streaming bytes without ever sending a newline is
-// answered bad-request (seq 0) and disconnected instead of growing the
-// server's receive buffer forever; a line of exactly the limit is still
-// a request.
-func TestV1LineBounded(t *testing.T) {
-	// line returns a v1 rooms request padded to n bytes before the newline.
-	line := func(n int) []byte {
-		head, tail := `{"type":"rooms","seq":7,"body":{"pad":"`, `"}}`
-		b := append([]byte(head), bytes.Repeat([]byte{'x'}, n-len(head)-len(tail))...)
-		return append(append(b, tail...), '\n')
-	}
 	cases := []struct {
-		name     string
-		raw      []byte
-		wantType wire.MsgType
-		wantSeq  uint64
+		name string
+		raw  []byte
 	}{
-		{"2 MiB without newline", bytes.Repeat([]byte{'{'}, 2<<20), wire.MsgError, 0},
-		{"one byte over", line(wire.MaxFramePayload + 1), wire.MsgError, 0},
-		{"exactly at the limit", line(wire.MaxFramePayload), wire.MsgRoomsResult, 7},
+		{"v1 line", []byte(`{"type":"rooms","seq":1}` + "\n")},
+		{"unknown byte", []byte("GET / HTTP/1.1\r\n")},
+		{"2 MiB without a header", bytes.Repeat([]byte{'{'}, 2<<20)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -178,16 +118,13 @@ func TestV1LineBounded(t *testing.T) {
 			// once the server hangs up) while the server reads.
 			go conn.Write(tc.raw)
 
-			codec := wire.NewCodec(conn)
+			codec := wire.NewFrameCodec(conn)
 			env, err := codec.Recv()
 			if err != nil {
-				t.Fatalf("expected a response, got transport error %v", err)
+				t.Fatalf("expected an error response, got transport error %v", err)
 			}
-			if env.Type != tc.wantType || env.Seq != tc.wantSeq {
-				t.Fatalf("response = %s seq %d, want %s seq %d", env.Type, env.Seq, tc.wantType, tc.wantSeq)
-			}
-			if tc.wantType != wire.MsgError {
-				return
+			if env.Type != wire.MsgError || env.Seq != 0 {
+				t.Fatalf("response = %s seq %d, want %s seq 0", env.Type, env.Seq, wire.MsgError)
 			}
 			var werr wire.Error
 			if err := wire.UnmarshalBody(env, &werr); err != nil {
@@ -203,61 +140,44 @@ func TestV1LineBounded(t *testing.T) {
 	}
 }
 
-// TestV1V2FallbackNegotiation: one server, one listener, both protocol
-// versions on concurrent connections. This is the compatibility contract:
-// deploying a v2 server must not strand a single v1 client.
-func TestV1V2FallbackNegotiation(t *testing.T) {
+// TestRemovedTypesKeepConnection: presence and batch are no longer part
+// of the protocol, so they are unknown request types — the client's
+// error, answered bad-request — and the connection stays open: it then
+// answers locate, and the refused presence moved nobody.
+func TestRemovedTypesKeepConnection(t *testing.T) {
 	s := newServer(t)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- s.Serve(l) }()
-
-	dial := func(v2 bool) *wire.Client {
-		conn, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
+	for user, dev := range map[string]baseband.BDAddr{"alice": devA, "bob": devB} {
+		if err := s.Login(wire.Login{User: user, Password: pw, Device: wire.FormatAddr(dev)}); err != nil {
 			t.Fatal(err)
 		}
-		if v2 {
-			return wire.NewClient(wire.NewFrameCodec(conn))
-		}
-		return wire.NewClient(wire.NewCodec(conn))
 	}
-	v1 := dial(false)
-	v2 := dial(true)
+	if err := s.ReportDelta(wire.Presence{Device: wire.FormatAddr(devB), Room: 6, At: 9, Present: true}); err != nil {
+		t.Fatal(err)
+	}
+	conn := servePipe(t, s)
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	client := wire.NewClient(wire.NewFrameCodec(conn))
 
-	if err := v1.Call(wire.MsgLogin, wire.Login{
-		User: "alice", Password: pw, Device: wire.FormatAddr(devA),
-	}, nil); err != nil {
-		t.Fatalf("v1 login: %v", err)
+	removed := []struct {
+		t    wire.MsgType
+		body any
+	}{
+		{"presence", wire.Presence{Device: wire.FormatAddr(devB), Room: 3, At: 20, Present: true}},
+		{"batch", map[string][]wire.Envelope{"requests": {{Type: wire.MsgRooms, Seq: 1}}}},
 	}
-	if err := v2.Call(wire.MsgLogin, wire.Login{
-		User: "bob", Password: pw, Device: wire.FormatAddr(devB),
-	}, nil); err != nil {
-		t.Fatalf("v2 login: %v", err)
-	}
-	// Cross-check: presence reported over v2, located over v1.
-	if err := v2.Call(wire.MsgPresence, wire.Presence{
-		Device: wire.FormatAddr(devB), Room: 6, At: 9, Present: true,
-	}, nil); err != nil {
-		t.Fatalf("v2 presence: %v", err)
+	for _, r := range removed {
+		err := client.Call(r.t, r.body, nil)
+		var werr *wire.Error
+		if !errors.As(err, &werr) || werr.Code != wire.CodeBadRequest {
+			t.Errorf("%s = %v, want a %s error", r.t, err, wire.CodeBadRequest)
+		}
 	}
 	var loc wire.LocateResult
-	if err := v1.Call(wire.MsgLocate, wire.Locate{Querier: "alice", Target: "bob"}, &loc); err != nil {
-		t.Fatalf("v1 locate: %v", err)
+	if err := client.Call(wire.MsgLocate, wire.Locate{Querier: "alice", Target: "bob"}, &loc); err != nil {
+		t.Fatalf("locate after the removed types: %v", err)
 	}
 	if loc.Room != 6 {
 		t.Errorf("locate room = %d, want 6", loc.Room)
-	}
-	v1.Close()
-	v2.Close()
-	if err := s.Close(); err != nil {
-		t.Errorf("server close: %v", err)
-	}
-	if err := <-serveDone; err != nil {
-		t.Errorf("serve returned: %v", err)
 	}
 }
 
@@ -362,70 +282,6 @@ func TestMaxInFlightBoundsPipeline(t *testing.T) {
 	}
 }
 
-// TestBatchRoundTrip: one MsgBatch envelope executes its requests in
-// order, inner errors do not abort the batch, and nesting is rejected.
-func TestBatchRoundTrip(t *testing.T) {
-	s := newServer(t)
-	conn := servePipe(t, s)
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	client := wire.NewClient(wire.NewFrameCodec(conn))
-
-	var b wire.Batch
-	if err := b.Add(wire.MsgLogin, wire.Login{User: "alice", Password: pw, Device: wire.FormatAddr(devA)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Add(wire.MsgLogin, wire.Login{User: "bob", Password: pw, Device: wire.FormatAddr(devB)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Add(wire.MsgPresence, wire.Presence{Device: wire.FormatAddr(devB), Room: 6, At: 50, Present: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Add(wire.MsgLocate, wire.Locate{Querier: "alice", Target: "bob"}); err != nil {
-		t.Fatal(err)
-	}
-	// This one fails (ghost is unknown) but must not poison the batch.
-	if err := b.Add(wire.MsgLocate, wire.Locate{Querier: "alice", Target: "ghost"}); err != nil {
-		t.Fatal(err)
-	}
-
-	var res wire.BatchResult
-	if err := client.Call(wire.MsgBatch, b, &res); err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Responses) != 5 {
-		t.Fatalf("got %d responses, want 5", len(res.Responses))
-	}
-	for i := 0; i < 3; i++ {
-		if err := res.Decode(i, nil); err != nil {
-			t.Fatalf("response %d: %v", i, err)
-		}
-	}
-	var loc wire.LocateResult
-	if err := res.Decode(3, &loc); err != nil {
-		t.Fatal(err)
-	}
-	if loc.Room != 6 {
-		t.Errorf("batched locate room = %d, want 6", loc.Room)
-	}
-	var werr *wire.Error
-	if err := res.Decode(4, nil); !errors.As(err, &werr) || werr.Code != wire.CodeNotFound {
-		t.Errorf("inner error = %v, want not-found", err)
-	}
-
-	// Nested batches are rejected with an inner error.
-	var nested wire.Batch
-	if err := nested.Add(wire.MsgBatch, wire.Batch{}); err != nil {
-		t.Fatal(err)
-	}
-	var nres wire.BatchResult
-	if err := client.Call(wire.MsgBatch, nested, &nres); err != nil {
-		t.Fatal(err)
-	}
-	if err := nres.Decode(0, nil); !errors.As(err, &werr) || werr.Code != wire.CodeBadRequest {
-		t.Errorf("nested batch error = %v, want bad-request", err)
-	}
-}
-
 // TestStatsQuery: MsgStats reports the request counters, the dispatch
 // histogram and the location-database counters.
 func TestStatsQuery(t *testing.T) {
@@ -439,9 +295,9 @@ func TestStatsQuery(t *testing.T) {
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Call(wire.MsgPresence, wire.Presence{
+	if err := server.StationReport(client, wire.Presence{
 		Device: wire.FormatAddr(devB), Room: 6, At: 9, Present: true,
-	}, nil); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	var res wire.StatsResult
@@ -451,8 +307,8 @@ func TestStatsQuery(t *testing.T) {
 	if got := res.Counters["server.requests.login"]; got != 1 {
 		t.Errorf("login counter = %d, want 1", got)
 	}
-	if got := res.Counters["server.requests.presence"]; got != 1 {
-		t.Errorf("presence counter = %d, want 1", got)
+	if got := res.Counters["server.requests.presence.batch"]; got != 1 {
+		t.Errorf("presence.batch counter = %d, want 1", got)
 	}
 	if got := res.Counters["locdb.updates"]; got != 1 {
 		t.Errorf("locdb.updates = %d, want 1", got)
@@ -541,12 +397,7 @@ func TestConcurrentConnectionsShardedDB(t *testing.T) {
 				errc <- err
 				return
 			}
-			var client *wire.Client
-			if i%2 == 0 {
-				client = wire.NewClient(wire.NewFrameCodec(conn))
-			} else {
-				client = wire.NewClient(wire.NewCodec(conn))
-			}
+			client := wire.NewClient(wire.NewFrameCodec(conn))
 			defer client.Close()
 			user := string(rune('a' + i))
 			dev := baseband.BDAddr(0xC00 + uint64(i))
@@ -556,9 +407,9 @@ func TestConcurrentConnectionsShardedDB(t *testing.T) {
 			}
 			for step := 0; step < 50; step++ {
 				room := 1 + (i+step)%10
-				if err := client.Call(wire.MsgPresence, wire.Presence{
+				if err := server.StationReport(client, wire.Presence{
 					Device: wire.FormatAddr(dev), Room: graph.NodeID(room), At: 1, Present: true,
-				}, nil); err != nil {
+				}); err != nil {
 					errc <- err
 					return
 				}

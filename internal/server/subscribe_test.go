@@ -104,10 +104,10 @@ func subscribe(t *testing.T, c *wire.Client, id, querier string, f wire.SubFilte
 
 func move(t *testing.T, c *wire.Client, dev baseband.BDAddr, room graph.NodeID, at sim.Tick) {
 	t.Helper()
-	if err := c.Call(wire.MsgPresence, wire.Presence{
+	if err := StationReport(c, wire.Presence{
 		Device: wire.FormatAddr(dev), Room: room, At: at, Present: true,
-	}, nil); err != nil {
-		t.Fatalf("presence: %v", err)
+	}); err != nil {
+		t.Fatalf("report: %v", err)
 	}
 }
 
@@ -279,39 +279,6 @@ func TestSubscribeAccessAndErrors(t *testing.T) {
 	subscribe(t, client, "dup", "alice", room6)
 }
 
-// TestSubscribeRejectedInsideBatch: a batch answers once and then is
-// done; a subscription pushes forever. The combination is malformed.
-func TestSubscribeRejectedInsideBatch(t *testing.T) {
-	s := newSubServer(t)
-	client := dialPipe(t, s)
-	login(t, s, "alice", devA)
-
-	var b wire.Batch
-	if err := b.Add(wire.MsgSubscribe, wire.Subscribe{
-		ID: "in-batch", Querier: "alice",
-		Filter: wire.SubFilter{Kind: wire.FilterRoom, Room: 6},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Add(wire.MsgUnsubscribe, wire.Unsubscribe{ID: "in-batch"}); err != nil {
-		t.Fatal(err)
-	}
-	var res wire.BatchResult
-	if err := client.Call(wire.MsgBatch, b, &res); err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.Responses {
-		err := res.Decode(i, nil)
-		var werr *wire.Error
-		if !errors.As(err, &werr) {
-			t.Fatalf("batched subscription op %d = %v, want wire.Error", i, err)
-		}
-		if werr.Code != wire.CodeBadRequest {
-			t.Errorf("batched subscription op %d code = %q, want %q", i, werr.Code, wire.CodeBadRequest)
-		}
-	}
-}
-
 // TestSubscriptionLimit: the per-connection cap rejects the next
 // subscribe, and unsubscribing makes room again.
 func TestSubscriptionLimit(t *testing.T) {
@@ -462,7 +429,7 @@ func TestConnectionTeardownCancelsSubscriptions(t *testing.T) {
 	a, b := net.Pipe()
 	done := make(chan struct{})
 	go func() { s.ServeConn(b); close(done) }()
-	client := wire.NewClient(wire.NewCodec(a))
+	client := wire.NewClient(wire.NewFrameCodec(a))
 	subscribe(t, client, "x", "alice", wire.SubFilter{Kind: wire.FilterRoom, Room: 6})
 	if got := s.Fanout().Stats().Subscriptions; got != 1 {
 		t.Fatalf("live subscriptions = %d, want 1", got)

@@ -8,8 +8,8 @@
 // rules that keep this safe:
 //
 //   - AppendTo output MUST equal json.Marshal output byte for byte —
-//     including encoding/json's HTML escaping of '<', '>', '&' — so v1
-//     and v2 frames are indistinguishable from the marshaled form and
+//     including encoding/json's HTML escaping of '<', '>', '&' — so
+//     frames are indistinguishable from the marshaled form and
 //     docs/PROTOCOL.md's hex examples stay valid.
 //   - DecodeBody accepts exactly the canonical encoding this package
 //     produces and reports false on anything else; callers MUST fall
@@ -350,10 +350,6 @@ func DecodeEnvelope(payload []byte) (Envelope, error) {
 // escape-free known type, no surrounding whitespace, and a valid JSON
 // body. ok is false on any deviation.
 func decodeEnvelopeFast(p []byte) (env Envelope, ok bool) {
-	// Tolerate the v1 line terminator so both framings can share this.
-	for len(p) > 0 && (p[len(p)-1] == '\n' || p[len(p)-1] == '\r') {
-		p = p[:len(p)-1]
-	}
 	const pre = `{"type":"`
 	if len(p) < len(pre)+2 || string(p[:len(pre)]) != pre {
 		return Envelope{}, false
@@ -573,8 +569,6 @@ func internMsgType(b []byte) (MsgType, bool) {
 	switch string(b) {
 	case string(MsgHello):
 		return MsgHello, true
-	case string(MsgPresence):
-		return MsgPresence, true
 	case string(MsgLogin):
 		return MsgLogin, true
 	case string(MsgLogout):
@@ -589,8 +583,6 @@ func internMsgType(b []byte) (MsgType, bool) {
 		return MsgPath, true
 	case string(MsgRooms):
 		return MsgRooms, true
-	case string(MsgBatch):
-		return MsgBatch, true
 	case string(MsgStats):
 		return MsgStats, true
 	case string(MsgIngestHello):
@@ -617,8 +609,6 @@ func internMsgType(b []byte) (MsgType, bool) {
 		return MsgPathResult, true
 	case string(MsgRoomsResult):
 		return MsgRoomsResult, true
-	case string(MsgBatchResult):
-		return MsgBatchResult, true
 	case string(MsgStatsResult):
 		return MsgStatsResult, true
 	case string(MsgIngestAck):

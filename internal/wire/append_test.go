@@ -3,8 +3,8 @@
 // checked byte-for-byte against encoding/json — first over a curated
 // table (including every type in AllMsgTypes, extending the
 // PROTOCOL.md hex-example conformance pattern to the whole registry),
-// then by fuzzing. Any divergence is a wire-compatibility bug: v1/v2
-// frames must be indistinguishable from the json.Marshal form.
+// then by fuzzing. Any divergence is a wire-compatibility bug: frames
+// must be indistinguishable from the json.Marshal form.
 package wire
 
 import (
@@ -144,35 +144,27 @@ func TestAppendEnvelopeTypedBody(t *testing.T) {
 }
 
 // TestSendAppendFramesIdentical proves the in-place append send path
-// puts exactly the same bytes on the wire as the marshaling Send, for
-// both framings.
+// puts exactly the same bytes on the wire as the marshaling Send.
 func TestSendAppendFramesIdentical(t *testing.T) {
-	bodies := appenderSamples()
-	for _, version := range []string{"v1", "v2"} {
-		var legacy, fast bytes.Buffer
-		mk := NewFrameCodec
-		if version == "v1" {
-			mk = NewCodec
+	var legacy, fast bytes.Buffer
+	legacyC, fastC := NewFrameCodec(rwOnly{&legacy}), NewFrameCodec(rwOnly{&fast})
+	for i, body := range appenderSamples() {
+		env, err := MarshalBody(MsgEvent, uint64(i), body)
+		if err != nil {
+			t.Fatal(err)
 		}
-		legacyC, fastC := mk(rwOnly{&legacy}), mk(rwOnly{&fast})
-		for i, body := range bodies {
-			env, err := MarshalBody(MsgEvent, uint64(i), body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := legacyC.Send(env); err != nil {
-				t.Fatal(err)
-			}
-			if err := fastC.sendAppendNoFlush(MsgEvent, uint64(i), body); err != nil {
-				t.Fatal(err)
-			}
-			if err := fastC.Flush(); err != nil {
-				t.Fatal(err)
-			}
+		if err := legacyC.Send(env); err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(legacy.Bytes(), fast.Bytes()) {
-			t.Errorf("%s: append-encoded stream differs from Send stream", version)
+		if err := fastC.sendAppendNoFlush(MsgEvent, uint64(i), body); err != nil {
+			t.Fatal(err)
 		}
+		if err := fastC.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(legacy.Bytes(), fast.Bytes()) {
+		t.Error("append-encoded stream differs from Send stream")
 	}
 }
 
@@ -292,10 +284,7 @@ func TestCallFastPathEndToEnd(t *testing.T) {
 	defer client.Close()
 
 	go func() {
-		tr, err := ServerTransport(srvConn, 0)
-		if err != nil {
-			return
-		}
+		tr := NewFrameCodec(srvConn)
 		var buf []byte
 		for {
 			env, b, err := tr.RecvBuf(buf)

@@ -1,10 +1,8 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -96,36 +94,25 @@ func runCoalescePlan(t *testing.T, c *FrameCodec, plan []coalesceOp, coalesce bo
 // Coalescing may only change TCP segmentation, never content — see
 // docs/PROTOCOL.md.
 func TestCoalescedStreamByteIdentical(t *testing.T) {
-	codecs := []struct {
-		name string
-		mk   func(rw io.ReadWriter, wbuf int) *FrameCodec
-	}{
-		{"v2", NewFrameCodecBuffered},
-		{"v1", func(rw io.ReadWriter, wbuf int) *FrameCodec {
-			return newFrameCodec(rw, bufio.NewReader(rw), wbuf, true)
-		}},
-	}
 	// 64 B forces mid-plan self-flushes; 64 KiB holds everything staged
 	// until the explicit flushes.
 	for _, wbuf := range []int{64, 64 << 10} {
-		for _, tc := range codecs {
-			t.Run(fmt.Sprintf("%s/wbuf=%d", tc.name, wbuf), func(t *testing.T) {
-				plan := coalescePlan(7, 300)
-				var eager, lazy bytes.Buffer
-				runCoalescePlan(t, tc.mk(&eager, wbuf), plan, false)
-				runCoalescePlan(t, tc.mk(&lazy, wbuf), plan, true)
-				a, b := eager.Bytes(), lazy.Bytes()
-				if bytes.Equal(a, b) {
-					return
-				}
-				i := 0
-				for i < len(a) && i < len(b) && a[i] == b[i] {
-					i++
-				}
-				t.Fatalf("streams diverge at byte %d: eager %d bytes, lazy %d bytes\neager[%d:]: %.80q\nlazy[%d:]:  %.80q",
-					i, len(a), len(b), i, a[i:], i, b[i:])
-			})
-		}
+		t.Run(fmt.Sprintf("v2/wbuf=%d", wbuf), func(t *testing.T) {
+			plan := coalescePlan(7, 300)
+			var eager, lazy bytes.Buffer
+			runCoalescePlan(t, NewFrameCodecBuffered(&eager, wbuf), plan, false)
+			runCoalescePlan(t, NewFrameCodecBuffered(&lazy, wbuf), plan, true)
+			a, b := eager.Bytes(), lazy.Bytes()
+			if bytes.Equal(a, b) {
+				return
+			}
+			i := 0
+			for i < len(a) && i < len(b) && a[i] == b[i] {
+				i++
+			}
+			t.Fatalf("streams diverge at byte %d: eager %d bytes, lazy %d bytes\neager[%d:]: %.80q\nlazy[%d:]:  %.80q",
+				i, len(a), len(b), i, a[i:], i, b[i:])
+		})
 	}
 }
 
@@ -138,10 +125,7 @@ func TestClientGroupCommitConcurrent(t *testing.T) {
 	serveDone := make(chan struct{})
 	go func() {
 		defer close(serveDone)
-		tr, err := ServerTransport(srvConn, 0)
-		if err != nil {
-			return
-		}
+		tr := NewFrameCodec(srvConn)
 		for {
 			env, err := tr.Recv()
 			if err != nil {

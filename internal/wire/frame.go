@@ -1,27 +1,21 @@
-// The connection type: one framing over one buffered reader and one
-// staged buffered writer.
+// The connection type: length-prefixed frames over one buffered reader
+// and one staged buffered writer.
 //
-// Envelopes are identical in both protocol versions; only the framing
-// differs, and FrameCodec carries it as one field chosen at
-// construction (or by the server's one-byte sniff):
+// Every frame is a six-byte header in front of its payload:
 //
-//   - v2 (NewFrameCodec): a six-byte header in front of each payload
+//	offset 0 : magic   0xB2
+//	offset 1 : version 0x02
+//	offset 2 : payload length, big-endian uint32 (max MaxFramePayload)
+//	offset 6 : payload — one JSON-encoded Envelope
 //
-//     offset 0 : magic   0xB2  (never '{', so a server can sniff the version)
-//     offset 1 : version 0x02
-//     offset 2 : payload length, big-endian uint32 (max MaxFramePayload)
-//     offset 6 : payload — one JSON-encoded Envelope
-//
-//   - v1 (NewCodec): the payload followed by a newline — easy to debug
-//     with netcat, but the reader has to scan for the delimiter. Because
-//     the first byte of every v1 message is '{', the whole remaining
-//     byte space was free for the v2 magic.
-//
-// Everything else — the write mutex, the staged writer with flushing as
-// an explicit policy, the pooled-buffer receive, the MaxFramePayload
-// bound in both directions — is shared. The Seq field is the correlation
-// id that lets a server complete pipelined requests out of order. See
-// docs/PROTOCOL.md for the full specification and a worked hex example.
+// A stream whose first frame does not start with the magic and version
+// is rejected by that frame's header check (ErrMalformed); there is no
+// other framing to fall back to. The write mutex, the staged writer with
+// flushing as an explicit policy, the pooled-buffer receive and the
+// MaxFramePayload bound in both directions all live here. The Seq field
+// is the correlation id that lets a server complete pipelined requests
+// out of order. See docs/PROTOCOL.md for the full specification and a
+// worked hex example.
 package wire
 
 import (
@@ -34,19 +28,16 @@ import (
 	"sync"
 )
 
-// Frame constants for protocol v2.
+// Frame constants.
 const (
-	// FrameMagic is the first byte of every v2 frame. JSON (v1) messages
-	// always start with '{' (0x7B), so one peeked byte decides the
-	// version.
+	// FrameMagic is the first byte of every frame.
 	FrameMagic = 0xB2
 	// FrameVersion is the protocol revision carried in byte 1.
 	FrameVersion = 0x02
 	// FrameHeaderLen is the fixed header size: magic + version + length.
 	FrameHeaderLen = 6
-	// MaxFramePayload bounds one envelope's encoding — a v2 frame's
-	// payload, a v1 line without its newline — so a corrupt or hostile
-	// peer cannot make the reader buffer without limit.
+	// MaxFramePayload bounds one frame's payload, so a corrupt or
+	// hostile peer cannot make the reader buffer without limit.
 	MaxFramePayload = 1 << 20
 )
 
@@ -56,11 +47,10 @@ const (
 // I/O error means the peer is gone.
 var ErrMalformed = errors.New("wire: malformed message")
 
-// FrameCodec is a protocol connection: envelopes framed as v2
-// length-prefixed frames or v1 newline-terminated lines over a
-// persistent stream. The send methods are safe for concurrent callers
-// and keep each frame atomic; the receive methods are for one reader
-// goroutine.
+// FrameCodec is a protocol connection: envelopes in length-prefixed
+// frames over a persistent stream. The send methods are safe for
+// concurrent callers and keep each frame atomic; the receive methods are
+// for one reader goroutine.
 //
 // Flushing is an explicit policy rather than a side effect of every
 // send: SendPayloadNoFlush stages one framed payload in the write
@@ -76,76 +66,28 @@ type FrameCodec struct {
 	// allocation per frame.
 	hdr    [FrameHeaderLen]byte
 	r      *bufio.Reader
-	v1     bool // newline framing instead of the length-prefixed header
 	closer io.Closer
 	closed bool
 }
 
-// NewFrameCodec wraps a stream in the v2 framing. If rw implements
+// NewFrameCodec wraps a stream in the frame codec. If rw implements
 // io.Closer, Close closes it.
 func NewFrameCodec(rw io.ReadWriter) *FrameCodec {
-	return newFrameCodec(rw, bufio.NewReader(rw), 0, false)
+	return NewFrameCodecBuffered(rw, 0)
 }
 
 // NewFrameCodecBuffered is NewFrameCodec with an explicit write-buffer
 // size: how many bytes SendPayloadNoFlush can stage before the buffer
 // flushes itself. Sizes <= 0 select the bufio default.
 func NewFrameCodecBuffered(rw io.ReadWriter, wbuf int) *FrameCodec {
-	return newFrameCodec(rw, bufio.NewReader(rw), wbuf, false)
-}
-
-// NewCodec wraps a stream in the v1 framing: one JSON document per
-// line. If rw implements io.Closer, Close closes it.
-func NewCodec(rw io.ReadWriter) *FrameCodec {
-	return newFrameCodec(rw, bufio.NewReader(rw), 0, true)
-}
-
-// newFrameCodec builds a FrameCodec over an already-buffered reader, so
-// the server-side sniffer can hand over the reader it peeked into. wbuf
-// sizes the write buffer (<= 0: the bufio default).
-func newFrameCodec(rw io.ReadWriter, r *bufio.Reader, wbuf int, v1 bool) *FrameCodec {
 	c := &FrameCodec{
-		w:  bufio.NewWriterSize(rw, wbuf),
-		r:  r,
-		v1: v1,
+		w: bufio.NewWriterSize(rw, wbuf),
+		r: bufio.NewReader(rw),
 	}
 	if cl, ok := rw.(io.Closer); ok {
 		c.closer = cl
 	}
 	return c
-}
-
-// ServerTransport sniffs which protocol version the peer speaks and
-// returns the connection in the matching framing: the first byte of a v2
-// connection is FrameMagic, of a v1 connection '{'. This is the whole
-// negotiation — a v1 client needs no changes to keep working against a
-// v2 server. Any other first byte yields ErrMalformed together with a
-// best-effort v1 connection the caller can use to answer MsgError before
-// closing. wbuf sizes the write buffer a flush-coalescing writer stages
-// into (<= 0: the bufio default, 4 KiB).
-func ServerTransport(rw io.ReadWriter, wbuf int) (*FrameCodec, error) {
-	br := bufio.NewReader(rw)
-	first, err := br.Peek(1)
-	if err != nil {
-		return nil, err
-	}
-	switch first[0] {
-	case FrameMagic:
-		return newFrameCodec(rw, br, wbuf, false), nil
-	case '{':
-		return newFrameCodec(rw, br, wbuf, true), nil
-	default:
-		return newFrameCodec(rw, br, wbuf, true), fmt.Errorf("%w: unknown protocol byte 0x%02X", ErrMalformed, first[0])
-	}
-}
-
-// FrameOverhead reports the framing bytes each payload costs on the
-// stream: the v2 header or the v1 newline.
-func (c *FrameCodec) FrameOverhead() int {
-	if c.v1 {
-		return 1
-	}
-	return FrameHeaderLen
 }
 
 // Send marshals one envelope and sends it as a single frame, flushed.
@@ -182,19 +124,12 @@ func (c *FrameCodec) sendPayload(payload []byte, flush bool) error {
 	if c.closed {
 		return ErrClosed
 	}
-	if !c.v1 {
-		putHeader(c.hdr[:], len(payload))
-		if _, err := c.w.Write(c.hdr[:]); err != nil {
-			return fmt.Errorf("wire: write: %w", err)
-		}
+	putHeader(c.hdr[:], len(payload))
+	if _, err := c.w.Write(c.hdr[:]); err != nil {
+		return fmt.Errorf("wire: write: %w", err)
 	}
 	if _, err := c.w.Write(payload); err != nil {
 		return fmt.Errorf("wire: write: %w", err)
-	}
-	if c.v1 {
-		if err := c.w.WriteByte('\n'); err != nil {
-			return fmt.Errorf("wire: write: %w", err)
-		}
 	}
 	if flush {
 		return c.flushLocked()
@@ -202,7 +137,7 @@ func (c *FrameCodec) sendPayload(payload []byte, flush bool) error {
 	return nil
 }
 
-// putHeader fills the six-byte v2 header for a payload of n bytes.
+// putHeader fills the six-byte frame header for a payload of n bytes.
 func putHeader(hdr []byte, n int) {
 	hdr[0] = FrameMagic
 	hdr[1] = FrameVersion
@@ -210,36 +145,26 @@ func putHeader(hdr []byte, n int) {
 }
 
 // sendAppendNoFlush stages one append-encoded envelope without
-// flushing, encoding straight into the write buffer's free space: for
-// v2 a header placeholder, the envelope, then the length backfilled; for
-// v1 the envelope and its newline. When the envelope fits (the common
-// case) the closing Write degenerates to a self-copy and the frame costs
-// no pooled buffer and no memmove; when append had to reallocate, Write
-// copies — and may flush earlier staged frames, which is the write
-// buffer's documented spill behavior. Pass body as a pointer so the
-// interface conversion does not allocate.
+// flushing, encoding straight into the write buffer's free space: a
+// header placeholder, the envelope, then the length backfilled. When the
+// envelope fits (the common case) the closing Write degenerates to a
+// self-copy and the frame costs no pooled buffer and no memmove; when
+// append had to reallocate, Write copies — and may flush earlier staged
+// frames, which is the write buffer's documented spill behavior. Pass
+// body as a pointer so the interface conversion does not allocate.
 func (c *FrameCodec) sendAppendNoFlush(t MsgType, seq uint64, body Appender) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	if c.closed {
 		return ErrClosed
 	}
-	scratch := c.w.AvailableBuffer()
-	overhead := 0
-	if !c.v1 {
-		overhead = FrameHeaderLen
-		scratch = append(scratch, c.hdr[:]...) // placeholder; backfilled below
-	}
+	scratch := append(c.w.AvailableBuffer(), c.hdr[:]...) // placeholder; backfilled below
 	scratch = AppendEnvelope(scratch, t, seq, body)
-	payload := len(scratch) - overhead
+	payload := len(scratch) - FrameHeaderLen
 	if payload > MaxFramePayload {
 		return fmt.Errorf("wire: frame payload %d exceeds %d", payload, MaxFramePayload)
 	}
-	if c.v1 {
-		scratch = append(scratch, '\n')
-	} else {
-		putHeader(scratch, payload)
-	}
+	putHeader(scratch, payload)
 	if _, err := c.w.Write(scratch); err != nil {
 		return fmt.Errorf("wire: write: %w", err)
 	}
@@ -264,9 +189,9 @@ func (c *FrameCodec) flushLocked() error {
 }
 
 // Recv reads one envelope into a fresh buffer. Bytes that cannot be a
-// valid frame (bad magic, unknown version, oversized payload or line,
-// payload that is not an envelope) are reported as ErrMalformed; clean
-// EOF between frames is io.EOF.
+// valid frame (bad magic, unknown version, oversized payload, payload
+// that is not an envelope) are reported as ErrMalformed; clean EOF
+// between frames is io.EOF.
 func (c *FrameCodec) Recv() (Envelope, error) {
 	env, _, err := c.RecvBuf(nil)
 	return env, err
@@ -279,12 +204,7 @@ func (c *FrameCodec) Recv() (Envelope, error) {
 // the buffer. The returned buffer is valid even on error so a pooled
 // caller never loses it.
 func (c *FrameCodec) RecvBuf(buf []byte) (Envelope, []byte, error) {
-	var err error
-	if c.v1 {
-		buf, err = c.readLine(buf)
-	} else {
-		buf, err = c.readFrame(buf)
-	}
+	buf, err := c.readFrame(buf)
 	if err != nil {
 		return Envelope{}, buf, err
 	}
@@ -295,7 +215,7 @@ func (c *FrameCodec) RecvBuf(buf []byte) (Envelope, []byte, error) {
 	return env, buf, nil
 }
 
-// readFrame reads one v2 frame's payload into buf. The header is parsed
+// readFrame reads one frame's payload into buf. The header is parsed
 // in place via Peek — a local array read through io.ReadFull would
 // escape into the io.Reader interface and cost an allocation per frame.
 func (c *FrameCodec) readFrame(buf []byte) ([]byte, error) {
@@ -340,32 +260,6 @@ func (c *FrameCodec) readFrame(buf []byte) ([]byte, error) {
 		return buf, err
 	}
 	return buf, nil
-}
-
-// readLine reads one v1 line into buf, accumulated fragment by fragment
-// without the per-message allocation of bufio.ReadBytes. A final
-// unterminated line is still returned. The line is bounded like a v2
-// payload: a peer streaming bytes without a newline is cut off at
-// MaxFramePayload instead of growing the buffer forever.
-func (c *FrameCodec) readLine(buf []byte) ([]byte, error) {
-	buf = buf[:0]
-	for {
-		frag, err := c.r.ReadSlice('\n')
-		buf = append(buf, frag...)
-		line := len(buf)
-		if err == nil {
-			line-- // the newline is framing, not payload
-		}
-		if line > MaxFramePayload {
-			return buf, fmt.Errorf("%w: line exceeds %d bytes", ErrMalformed, MaxFramePayload)
-		}
-		if err == nil || !errors.Is(err, bufio.ErrBufferFull) {
-			if len(buf) == 0 {
-				return buf, err
-			}
-			return buf, nil
-		}
-	}
 }
 
 // Close closes the underlying stream when it is closable.

@@ -88,22 +88,20 @@ func TestFrameRecvCleanEOF(t *testing.T) {
 	}
 }
 
-// TestFrameSendOversized: both framings refuse to send what the peer's
+// TestFrameSendOversized: the codec refuses to send what the peer's
 // reader would reject, on the marshaling and the append-encoded path.
 func TestFrameSendOversized(t *testing.T) {
 	huge := Envelope{Type: MsgHello, Body: []byte(`"` + strings.Repeat("x", MaxFramePayload) + `"`)}
-	for name, mk := range map[string]func(io.ReadWriter) *FrameCodec{"v1": NewCodec, "v2": NewFrameCodec} {
-		var buf rwBuffer
-		c := mk(&buf)
-		if err := c.Send(huge); err == nil {
-			t.Errorf("%s: oversized Send accepted", name)
-		}
-		if err := c.sendAppendNoFlush(MsgHello, 1, rawPad(huge.Body)); err == nil {
-			t.Errorf("%s: oversized append-encoded send accepted", name)
-		}
-		if err := c.Flush(); err != nil || buf.Len() != 0 {
-			t.Errorf("%s: refused sends left %d bytes on the stream (flush: %v)", name, buf.Len(), err)
-		}
+	var buf rwBuffer
+	c := NewFrameCodec(&buf)
+	if err := c.Send(huge); err == nil {
+		t.Error("oversized Send accepted")
+	}
+	if err := c.sendAppendNoFlush(MsgHello, 1, rawPad(huge.Body)); err == nil {
+		t.Error("oversized append-encoded send accepted")
+	}
+	if err := c.Flush(); err != nil || buf.Len() != 0 {
+		t.Errorf("refused sends left %d bytes on the stream (flush: %v)", buf.Len(), err)
 	}
 }
 
@@ -142,101 +140,4 @@ func TestFrameConcurrentSend(t *testing.T) {
 	wg.Wait()
 	a.Close()
 	b.Close()
-}
-
-func TestServerTransportSniff(t *testing.T) {
-	t.Run("v2", func(t *testing.T) {
-		var buf rwBuffer
-		if err := NewFrameCodec(&buf).Send(Envelope{Type: MsgRooms, Seq: 1}); err != nil {
-			t.Fatal(err)
-		}
-		tr, err := ServerTransport(&buf, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tr.v1 {
-			t.Fatal("sniffed v1 framing, want v2")
-		}
-		env, err := tr.Recv()
-		if err != nil || env.Type != MsgRooms {
-			t.Fatalf("Recv = %+v, %v", env, err)
-		}
-	})
-	t.Run("v1", func(t *testing.T) {
-		var buf rwBuffer
-		if err := NewCodec(&buf).Send(Envelope{Type: MsgRooms, Seq: 1}); err != nil {
-			t.Fatal(err)
-		}
-		tr, err := ServerTransport(&buf, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !tr.v1 {
-			t.Fatal("sniffed v2 framing, want v1")
-		}
-		env, err := tr.Recv()
-		if err != nil || env.Type != MsgRooms {
-			t.Fatalf("Recv = %+v, %v", env, err)
-		}
-	})
-	t.Run("unknown byte", func(t *testing.T) {
-		buf := rwBuffer{Buffer: *bytes.NewBufferString("GET / HTTP/1.1\r\n")}
-		tr, err := ServerTransport(&buf, 0)
-		if !errors.Is(err, ErrMalformed) {
-			t.Fatalf("err = %v, want ErrMalformed", err)
-		}
-		if tr == nil {
-			t.Fatal("no best-effort transport returned")
-		}
-	})
-	t.Run("empty stream", func(t *testing.T) {
-		tr, err := ServerTransport(&rwBuffer{}, 0)
-		if !errors.Is(err, io.EOF) || tr != nil {
-			t.Fatalf("= %v, %v; want nil, EOF", tr, err)
-		}
-	})
-}
-
-// TestClientOverBothTransports runs the same client logic over v1 and v2
-// transports against a trivial echo-style peer.
-func TestClientOverBothTransports(t *testing.T) {
-	for _, v2 := range []bool{false, true} {
-		name := "v1"
-		if v2 {
-			name = "v2"
-		}
-		t.Run(name, func(t *testing.T) {
-			a, b := net.Pipe()
-			defer a.Close()
-			defer b.Close()
-			// Peer: answer every request with MsgOK of the same seq.
-			go func() {
-				tr, err := ServerTransport(b, 0)
-				if err != nil {
-					return
-				}
-				for {
-					env, err := tr.Recv()
-					if err != nil {
-						return
-					}
-					resp, _ := MarshalBody(MsgOK, env.Seq, struct{}{})
-					if err := tr.Send(resp); err != nil {
-						return
-					}
-				}
-			}()
-			var client *Client
-			if v2 {
-				client = NewClient(NewFrameCodec(a))
-			} else {
-				client = NewClient(NewCodec(a))
-			}
-			for i := 0; i < 5; i++ {
-				if err := client.Call(MsgHello, Hello{Station: "s", Room: 1}, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-	}
 }

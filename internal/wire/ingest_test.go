@@ -173,10 +173,9 @@ func FuzzPresenceBatchDecode(f *testing.F) {
 	})
 }
 
-// FuzzFrameCodecRecv feeds arbitrary byte streams to the reader in both
-// framings: every outcome must be a decoded envelope or a classified
-// error (ErrMalformed or a transport error) — never a panic or a huge
-// allocation.
+// FuzzFrameCodecRecv feeds arbitrary byte streams to the reader: every
+// outcome must be a decoded envelope or a classified error (ErrMalformed
+// or a transport error) — never a panic or a huge allocation.
 func FuzzFrameCodecRecv(f *testing.F) {
 	var buf bytes.Buffer
 	c := NewFrameCodec(struct {
@@ -192,15 +191,13 @@ func FuzzFrameCodecRecv(f *testing.F) {
 	f.Add([]byte{FrameMagic, 0x00, 0, 0, 0, 0})
 	f.Add([]byte("{\"type\":\"presence.batch\"}\n"))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		for _, mk := range []func(io.ReadWriter) *FrameCodec{NewFrameCodec, NewCodec} {
-			codec := mk(struct {
-				io.Reader
-				io.Writer
-			}{bytes.NewReader(raw), io.Discard})
-			for i := 0; i < 4; i++ {
-				if _, err := codec.Recv(); err != nil {
-					break
-				}
+		codec := NewFrameCodec(struct {
+			io.Reader
+			io.Writer
+		}{bytes.NewReader(raw), io.Discard})
+		for i := 0; i < 4; i++ {
+			if _, err := codec.Recv(); err != nil {
+				break
 			}
 		}
 	})

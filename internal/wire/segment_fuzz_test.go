@@ -37,33 +37,22 @@ func (r *chunkedReader) Read(p []byte) (int, error) {
 }
 
 // readWriter pairs a reader with a discarding writer so the read-only
-// fixtures satisfy the codec constructors.
+// fixtures satisfy the codec constructor.
 type readWriter struct {
 	io.Reader
 	io.Writer
 }
 
-// framings is the table the segmentation suite runs over: the reader is
-// one type, so every property must hold for both of its framings.
-var framings = []struct {
-	name string
-	v1   bool
-	mk   func(io.ReadWriter) *FrameCodec
-}{
-	{"v2", false, NewFrameCodec},
-	{"v1", true, NewCodec},
-}
-
-func newChunkedTransport(mk func(io.ReadWriter) *FrameCodec, data []byte, cuts []int) *FrameCodec {
-	return mk(readWriter{&chunkedReader{data: data, cuts: cuts}, io.Discard})
+func newChunkedTransport(data []byte, cuts []int) *FrameCodec {
+	return NewFrameCodec(readWriter{&chunkedReader{data: data, cuts: cuts}, io.Discard})
 }
 
 // buildFrameStream encodes envelopes whose bodies are derived from raw
-// fuzz bytes (JSON-escaped by the encoder, so any input is valid and a
-// v1 payload never holds a raw newline), framed by hand — a six-byte v2
-// header in front or a v1 newline behind — and returns the wire bytes,
-// the offset at which each frame ends, and the reference envelopes.
-func buildFrameStream(v1 bool, payloads [][]byte) ([]byte, []int, []Envelope) {
+// fuzz bytes (JSON-escaped by the encoder, so any input is valid),
+// framed by hand with a six-byte header in front of each, and returns
+// the wire bytes, the offset at which each frame ends, and the reference
+// envelopes.
+func buildFrameStream(payloads [][]byte) ([]byte, []int, []Envelope) {
 	var stream []byte
 	var ends []int
 	var want []Envelope
@@ -71,13 +60,9 @@ func buildFrameStream(v1 bool, payloads [][]byte) ([]byte, []int, []Envelope) {
 		seq := uint64(i + 1)
 		body := Locate{Querier: string(p), Target: fmt.Sprintf("t%d", i)}
 		payload := AppendEnvelope(nil, MsgLocate, seq, body)
-		if v1 {
-			stream = append(append(stream, payload...), '\n')
-		} else {
-			stream = append(stream, FrameMagic, FrameVersion,
-				byte(len(payload)>>24), byte(len(payload)>>16), byte(len(payload)>>8), byte(len(payload)))
-			stream = append(stream, payload...)
-		}
+		stream = append(stream, FrameMagic, FrameVersion,
+			byte(len(payload)>>24), byte(len(payload)>>16), byte(len(payload)>>8), byte(len(payload)))
+		stream = append(stream, payload...)
 		ends = append(ends, len(stream))
 		// Body is left empty in the reference: the differential check
 		// below compares segmented against unsegmented decoding.
@@ -109,9 +94,9 @@ func recvAll(c *FrameCodec) ([]Envelope, error) {
 // FuzzFrameReadSegmentation checks that the reader is agnostic to where
 // the sender's flush boundaries fall: the same stream must decode to
 // the same envelopes no matter how it is segmented — even when a
-// segment ends inside the six-byte v2 header or right before a v1
-// newline. The cuts come from the fuzzer, so it hunts exactly for the
-// split the header-peek or line-accumulation path might mishandle.
+// segment ends inside the six-byte header. The cuts come from the
+// fuzzer, so it hunts exactly for the split the header-peek path might
+// mishandle.
 func FuzzFrameReadSegmentation(f *testing.F) {
 	f.Add([]byte("alice"), []byte{3, 7, 1})
 	f.Add([]byte(`quo"te\and`+"\n"), []byte{1, 1, 1, 1, 1, 1})
@@ -124,40 +109,38 @@ func FuzzFrameReadSegmentation(f *testing.F) {
 			p := append(bytes.Repeat([]byte{byte('a' + i)}, i), seed...)
 			payloads = append(payloads, p)
 		}
-		for _, fr := range framings {
-			stream, _, want := buildFrameStream(fr.v1, payloads)
+		stream, _, want := buildFrameStream(payloads)
 
-			// Reference: one unbroken read.
-			wantGot, err := recvAll(newChunkedTransport(fr.mk, stream, nil))
-			if err != nil {
-				t.Fatalf("%s: unsegmented stream failed: %v", fr.name, err)
-			}
-			if len(wantGot) != len(want) {
-				t.Fatalf("%s: unsegmented stream: %d envelopes, want %d", fr.name, len(wantGot), len(want))
-			}
+		// Reference: one unbroken read.
+		wantGot, err := recvAll(newChunkedTransport(stream, nil))
+		if err != nil {
+			t.Fatalf("unsegmented stream failed: %v", err)
+		}
+		if len(wantGot) != len(want) {
+			t.Fatalf("unsegmented stream: %d envelopes, want %d", len(wantGot), len(want))
+		}
 
-			// Fuzz-chosen cuts: each byte is a delta to the next boundary.
-			var cuts []int
-			pos := 0
-			for _, d := range cutBytes {
-				pos += int(d)
-				if pos >= len(stream) {
-					break
-				}
-				cuts = append(cuts, pos)
+		// Fuzz-chosen cuts: each byte is a delta to the next boundary.
+		var cuts []int
+		pos := 0
+		for _, d := range cutBytes {
+			pos += int(d)
+			if pos >= len(stream) {
+				break
 			}
-			sort.Ints(cuts)
-			got, err := recvAll(newChunkedTransport(fr.mk, stream, cuts))
-			if err != nil {
-				t.Fatalf("%s: segmented stream (cuts %v) failed: %v", fr.name, cuts, err)
-			}
-			if len(got) != len(wantGot) {
-				t.Fatalf("%s: segmented stream (cuts %v): %d envelopes, want %d", fr.name, cuts, len(got), len(wantGot))
-			}
-			for i := range got {
-				if got[i].Type != wantGot[i].Type || got[i].Seq != wantGot[i].Seq || !bytes.Equal(got[i].Body, wantGot[i].Body) {
-					t.Fatalf("%s: segmented envelope %d = %+v, want %+v (cuts %v)", fr.name, i, got[i], wantGot[i], cuts)
-				}
+			cuts = append(cuts, pos)
+		}
+		sort.Ints(cuts)
+		got, err := recvAll(newChunkedTransport(stream, cuts))
+		if err != nil {
+			t.Fatalf("segmented stream (cuts %v) failed: %v", cuts, err)
+		}
+		if len(got) != len(wantGot) {
+			t.Fatalf("segmented stream (cuts %v): %d envelopes, want %d", cuts, len(got), len(wantGot))
+		}
+		for i := range got {
+			if got[i].Type != wantGot[i].Type || got[i].Seq != wantGot[i].Seq || !bytes.Equal(got[i].Body, wantGot[i].Body) {
+				t.Fatalf("segmented envelope %d = %+v, want %+v (cuts %v)", i, got[i], wantGot[i], cuts)
 			}
 		}
 	})
@@ -165,23 +148,20 @@ func FuzzFrameReadSegmentation(f *testing.F) {
 
 // TestFrameHeaderSplitAtEveryByte walks a single cut across every
 // position of a two-frame stream — in particular each of the six header
-// bytes of both v2 frames, and either side of both v1 newlines — and
-// requires identical decoding each time.
+// bytes of both frames — and requires identical decoding each time.
 func TestFrameHeaderSplitAtEveryByte(t *testing.T) {
-	for _, fr := range framings {
-		stream, _, want := buildFrameStream(fr.v1, [][]byte{[]byte("alice"), []byte("bob")})
-		for cut := 1; cut < len(stream); cut++ {
-			got, err := recvAll(newChunkedTransport(fr.mk, stream, []int{cut}))
-			if err != nil {
-				t.Fatalf("%s: cut at %d: %v", fr.name, cut, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s: cut at %d: %d envelopes, want %d", fr.name, cut, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Type != want[i].Type || got[i].Seq != want[i].Seq {
-					t.Fatalf("%s: cut at %d: envelope %d = %+v, want %+v", fr.name, cut, i, got[i], want[i])
-				}
+	stream, _, want := buildFrameStream([][]byte{[]byte("alice"), []byte("bob")})
+	for cut := 1; cut < len(stream); cut++ {
+		got, err := recvAll(newChunkedTransport(stream, []int{cut}))
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("cut at %d: %d envelopes, want %d", cut, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Type != want[i].Type || got[i].Seq != want[i].Seq {
+				t.Fatalf("cut at %d: envelope %d = %+v, want %+v", cut, i, got[i], want[i])
 			}
 		}
 	}
@@ -190,9 +170,9 @@ func TestFrameHeaderSplitAtEveryByte(t *testing.T) {
 // TestFrameTruncatedInsideHeader confirms a stream that ends mid-header
 // is reported as a framing error, not silently dropped or misread.
 func TestFrameTruncatedInsideHeader(t *testing.T) {
-	stream, _, _ := buildFrameStream(false, [][]byte{[]byte("alice")})
+	stream, _, _ := buildFrameStream([][]byte{[]byte("alice")})
 	for cut := 1; cut < FrameHeaderLen; cut++ {
-		c := newChunkedTransport(NewFrameCodec, stream[:cut], nil)
+		c := newChunkedTransport(stream[:cut], nil)
 		_, _, err := c.RecvBuf(nil)
 		if !errors.Is(err, ErrMalformed) {
 			t.Fatalf("truncated header (%d bytes): err = %v, want ErrMalformed", cut, err)
@@ -203,33 +183,28 @@ func TestFrameTruncatedInsideHeader(t *testing.T) {
 // TestStreamTruncatedAtEveryOffset ends a three-frame stream at every
 // offset. Every frame that arrived whole is decoded; a stream that ends
 // on a frame boundary is a clean EOF; one that ends inside a frame is
-// ErrMalformed — except the v1 rule that a final unterminated line is
-// still decoded, so a v1 stream missing only its last newline loses
-// nothing.
+// ErrMalformed.
 func TestStreamTruncatedAtEveryOffset(t *testing.T) {
-	for _, fr := range framings {
-		stream, ends, _ := buildFrameStream(fr.v1, [][]byte{[]byte("alice"), []byte("bob"), []byte("carol")})
-		for cut := 1; cut < len(stream); cut++ {
-			whole, clean := 0, false
-			for _, end := range ends {
-				lastLine := fr.v1 && end-1 == cut
-				if end <= cut || lastLine {
-					whole++
-				}
-				if end == cut || lastLine {
-					clean = true
-				}
+	stream, ends, _ := buildFrameStream([][]byte{[]byte("alice"), []byte("bob"), []byte("carol")})
+	for cut := 1; cut < len(stream); cut++ {
+		whole, clean := 0, false
+		for _, end := range ends {
+			if end <= cut {
+				whole++
 			}
-			got, err := recvAll(newChunkedTransport(fr.mk, stream[:cut], nil))
-			if len(got) != whole {
-				t.Fatalf("%s: cut at %d: %d envelopes, want %d", fr.name, cut, len(got), whole)
+			if end == cut {
+				clean = true
 			}
-			if clean && err != nil {
-				t.Fatalf("%s: cut at %d on a frame boundary: %v", fr.name, cut, err)
-			}
-			if !clean && !errors.Is(err, ErrMalformed) {
-				t.Fatalf("%s: cut at %d inside a frame: err = %v, want ErrMalformed", fr.name, cut, err)
-			}
+		}
+		got, err := recvAll(newChunkedTransport(stream[:cut], nil))
+		if len(got) != whole {
+			t.Fatalf("cut at %d: %d envelopes, want %d", cut, len(got), whole)
+		}
+		if clean && err != nil {
+			t.Fatalf("cut at %d on a frame boundary: %v", cut, err)
+		}
+		if !clean && !errors.Is(err, ErrMalformed) {
+			t.Fatalf("cut at %d inside a frame: err = %v, want ErrMalformed", cut, err)
 		}
 	}
 }

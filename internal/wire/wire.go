@@ -1,22 +1,14 @@
 // Package wire defines the LAN protocol between BIPS workstations, mobile
 // clients and the central server, over any io.ReadWriter (TCP in the live
 // system, net.Pipe in tests and simulations). One connection type,
-// FrameCodec (frame.go), carries it in either of two framings of the same
-// JSON envelopes:
-//
-//   - v1 (NewCodec): newline-delimited — one document per line,
-//     human-debuggable with netcat.
-//   - v2 (NewFrameCodec): length-prefixed frames — cheaper to parse, sized
-//     up front, and safe to pipeline aggressively.
-//
-// A server sniffs the framing from the first byte (ServerTransport), so v1
-// clients keep working unchanged against a v2 server.
+// FrameCodec (frame.go), carries JSON envelopes in length-prefixed frames
+// — sized up front and safe to pipeline aggressively.
 //
 // Every request envelope carries a sequence number — the correlation id.
 // The peer answers with an envelope of the matching sequence number whose
 // type is either the request-specific response type or MsgError. Requests
 // may be pipelined: a client may send many requests before reading any
-// response, and a v2 server may answer them out of order; the correlation
+// response, and the server may answer them out of order; the correlation
 // id is what ties each response to its request. See docs/PROTOCOL.md for
 // the full specification.
 package wire
@@ -41,8 +33,6 @@ type MsgType string
 const (
 	// MsgHello announces a workstation to the server.
 	MsgHello MsgType = "hello"
-	// MsgPresence reports a presence or absence delta.
-	MsgPresence MsgType = "presence"
 	// MsgLogin binds a userid to a device.
 	MsgLogin MsgType = "login"
 	// MsgLogout releases the binding.
@@ -59,9 +49,6 @@ const (
 	MsgPath MsgType = "path"
 	// MsgRooms asks for the server's floor plan.
 	MsgRooms MsgType = "rooms"
-	// MsgBatch carries several requests in one envelope; the response is
-	// a MsgBatchResult with one response per request, in order.
-	MsgBatch MsgType = "batch"
 	// MsgStats asks for the server's metrics snapshot.
 	MsgStats MsgType = "stats"
 	// MsgIngestHello opens (or resumes) a workstation ingest session;
@@ -98,8 +85,6 @@ const (
 	MsgPathResult MsgType = "path.result"
 	// MsgRoomsResult answers MsgRooms.
 	MsgRoomsResult MsgType = "rooms.result"
-	// MsgBatchResult answers MsgBatch.
-	MsgBatchResult MsgType = "batch.result"
 	// MsgStatsResult answers MsgStats.
 	MsgStatsResult MsgType = "stats.result"
 	// MsgIngestAck answers MsgIngestHello and MsgPresenceBatch with the
@@ -125,12 +110,12 @@ const (
 // above — a test parses this file's AST and fails if a MsgType constant is
 // missing here.
 var AllMsgTypes = []MsgType{
-	MsgHello, MsgPresence, MsgLogin, MsgLogout, MsgLocate, MsgLocateAt,
-	MsgTrajectory, MsgPath, MsgRooms, MsgBatch, MsgStats,
+	MsgHello, MsgLogin, MsgLogout, MsgLocate, MsgLocateAt,
+	MsgTrajectory, MsgPath, MsgRooms, MsgStats,
 	MsgIngestHello, MsgPresenceBatch, MsgContacts, MsgOccupancy,
 	MsgDwell, MsgSubscribe, MsgUnsubscribe,
 	MsgOK, MsgLocateResult, MsgTrajectoryResult, MsgPathResult,
-	MsgRoomsResult, MsgBatchResult, MsgStatsResult, MsgIngestAck,
+	MsgRoomsResult, MsgStatsResult, MsgIngestAck,
 	MsgContactsResult, MsgOccupancyResult, MsgDwellResult,
 	MsgEvent, MsgError,
 }
@@ -148,7 +133,8 @@ type Hello struct {
 	Room    graph.NodeID `json:"room"`
 }
 
-// Presence is a presence/absence delta from a workstation.
+// Presence is one presence/absence delta from a workstation; it travels
+// only inside a PresenceBatch.
 type Presence struct {
 	Device  string       `json:"device"`
 	Room    graph.NodeID `json:"room"`
@@ -242,53 +228,6 @@ type RoomInfo struct {
 // RoomsResult answers RoomsQuery with the rooms in ascending id order.
 type RoomsResult struct {
 	Rooms []RoomInfo `json:"rooms"`
-}
-
-// Batch carries several requests in one envelope. Each inner envelope is
-// a complete request whose Seq is private to the batch: the server echoes
-// it in the matching inner response but correlates only on the outer
-// envelope's Seq. Requests are executed sequentially in order; an inner
-// failure produces an inner MsgError and does not abort the rest. Nesting
-// a MsgBatch inside a Batch is rejected.
-type Batch struct {
-	Requests []Envelope `json:"requests"`
-}
-
-// Add marshals a typed request into the batch. The inner Seq is the
-// request's position, so responses can be read back by index.
-func (b *Batch) Add(t MsgType, body any) error {
-	env, err := MarshalBody(t, uint64(len(b.Requests)), body)
-	if err != nil {
-		return err
-	}
-	b.Requests = append(b.Requests, env)
-	return nil
-}
-
-// BatchResult answers Batch with one response per request, same order.
-type BatchResult struct {
-	Responses []Envelope `json:"responses"`
-}
-
-// Decode unmarshals response i into out (out may be nil for MsgOK
-// responses). An inner MsgError becomes a *Error return value, like
-// Client.Call.
-func (br *BatchResult) Decode(i int, out any) error {
-	if i < 0 || i >= len(br.Responses) {
-		return fmt.Errorf("wire: batch response %d of %d", i, len(br.Responses))
-	}
-	resp := br.Responses[i]
-	if resp.Type == MsgError {
-		var werr Error
-		if err := UnmarshalBody(resp, &werr); err != nil {
-			return err
-		}
-		return &werr
-	}
-	if out != nil {
-		return UnmarshalBody(resp, out)
-	}
-	return nil
 }
 
 // StatsQuery asks for the server's metrics snapshot; it has no parameters.
@@ -391,8 +330,7 @@ func UnmarshalBody(env Envelope, out any) error {
 // ErrClosed is returned after Close.
 var ErrClosed = errors.New("wire: connection closed")
 
-// Client is a synchronous RPC client over a FrameCodec in either
-// framing. A single receive loop dispatches responses to waiting
+// Client is a synchronous RPC client over a FrameCodec. A single receive loop dispatches responses to waiting
 // callers by sequence number, so multiple goroutines may issue calls
 // concurrently — each in-flight call is one pipelined request on the
 // shared connection, and out-of-order completion by the server is handled

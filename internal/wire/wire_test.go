@@ -27,7 +27,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	ca, cb := NewCodec(a), NewCodec(b)
+	ca, cb := NewFrameCodec(a), NewFrameCodec(b)
 
 	go func() {
 		env, err := MarshalBody(MsgLocate, 7, Locate{Querier: "alice", Target: "bob"})
@@ -56,7 +56,7 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestCodecRejectsGarbage(t *testing.T) {
-	c := NewCodec(struct {
+	c := NewFrameCodec(struct {
 		io.Reader
 		io.Writer
 	}{strings.NewReader("this is not json\n"), io.Discard})
@@ -65,24 +65,10 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestCodecUnterminatedFinalLine(t *testing.T) {
-	c := NewCodec(struct {
-		io.Reader
-		io.Writer
-	}{strings.NewReader(`{"type":"ok","seq":1}`), io.Discard})
-	env, err := c.Recv()
-	if err != nil {
-		t.Fatalf("unterminated final line rejected: %v", err)
-	}
-	if env.Type != MsgOK || env.Seq != 1 {
-		t.Errorf("envelope = %+v", env)
-	}
-}
-
 func TestCodecSendAfterClose(t *testing.T) {
 	a, b := net.Pipe()
 	defer b.Close()
-	c := NewCodec(a)
+	c := NewFrameCodec(a)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +84,7 @@ func TestCodecSendAfterClose(t *testing.T) {
 // same sequence number.
 func echoServer(t *testing.T, conn net.Conn, respond func(Envelope) Envelope) {
 	t.Helper()
-	codec := NewCodec(conn)
+	codec := NewFrameCodec(conn)
 	go func() {
 		for {
 			env, err := codec.Recv()
@@ -121,7 +107,7 @@ func TestClientCall(t *testing.T) {
 		}
 		return resp
 	})
-	client := NewClient(NewCodec(a))
+	client := NewClient(NewFrameCodec(a))
 	defer client.Close()
 
 	var res LocateResult
@@ -142,7 +128,7 @@ func TestClientErrorResponse(t *testing.T) {
 		}
 		return resp
 	})
-	client := NewClient(NewCodec(a))
+	client := NewClient(NewFrameCodec(a))
 	defer client.Close()
 
 	err := client.Call(MsgLocate, Locate{}, nil)
@@ -165,7 +151,7 @@ func TestClientConcurrentCalls(t *testing.T) {
 		// own response.
 		return Envelope{Type: MsgOK, Seq: req.Seq, Body: req.Body}
 	})
-	client := NewClient(NewCodec(a))
+	client := NewClient(NewFrameCodec(a))
 	defer client.Close()
 
 	var wg sync.WaitGroup
@@ -190,7 +176,7 @@ func TestClientConcurrentCalls(t *testing.T) {
 
 func TestClientPeerDisconnectUnblocksCalls(t *testing.T) {
 	a, b := net.Pipe()
-	client := NewClient(NewCodec(a))
+	client := NewClient(NewFrameCodec(a))
 	defer client.Close()
 
 	done := make(chan error, 1)
@@ -209,17 +195,20 @@ func TestClientPeerDisconnectUnblocksCalls(t *testing.T) {
 }
 
 func TestEnvelopeJSONShape(t *testing.T) {
-	env, err := MarshalBody(MsgPresence, 3, Presence{
+	env, err := MarshalBody(MsgPresenceBatch, 3, PresenceBatch{Session: "s", Seq: 1, Deltas: []Presence{{
 		Device: "AA:BB:CC:DD:EE:FF", Room: 2, At: 100, Present: true,
-	})
+	}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var p Presence
-	if err := UnmarshalBody(env, &p); err != nil {
+	var b PresenceBatch
+	if err := UnmarshalBody(env, &b); err != nil {
 		t.Fatal(err)
 	}
-	if p.Device != "AA:BB:CC:DD:EE:FF" || p.Room != 2 || p.At != 100 || !p.Present {
+	if len(b.Deltas) != 1 {
+		t.Fatalf("batch = %+v", b)
+	}
+	if p := b.Deltas[0]; p.Device != "AA:BB:CC:DD:EE:FF" || p.Room != 2 || p.At != 100 || !p.Present {
 		t.Errorf("presence = %+v", p)
 	}
 }
