@@ -311,7 +311,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 // BenchmarkFullSystemSecond measures one second of simulated time of the
 // complete 10-cell deployment with five walking users.
 func BenchmarkFullSystemSecond(b *testing.B) {
-	svc, err := New(Config{Seed: 1})
+	svc, err := New(WithSeed(1))
 	if err != nil {
 		b.Fatal(err)
 	}

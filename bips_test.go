@@ -9,7 +9,7 @@ import (
 
 func newService(t *testing.T, seed int64) *Service {
 	t.Helper()
-	svc, err := New(Config{Seed: seed})
+	svc, err := New(WithSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +147,7 @@ func TestWalkingUserIsTracked(t *testing.T) {
 }
 
 func TestCustomCycleConfig(t *testing.T) {
-	svc, err := New(Config{
-		Seed:          5,
-		DiscoverySlot: time.Second,
-		CyclePeriod:   5 * time.Second,
-	})
+	svc, err := New(WithSeed(5), WithDutyCycle(time.Second, 5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +168,7 @@ func TestCustomCycleConfig(t *testing.T) {
 }
 
 func TestInvalidCycleConfig(t *testing.T) {
-	if _, err := New(Config{DiscoverySlot: 10 * time.Second, CyclePeriod: time.Second}); err == nil {
+	if _, err := New(WithDutyCycle(10*time.Second, time.Second)); err == nil {
 		t.Error("invalid cycle accepted")
 	}
 }

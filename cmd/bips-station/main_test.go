@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"os"
 	"os/exec"
@@ -115,7 +116,7 @@ func dbState(t *testing.T, s *server.Server) string {
 	}
 	st := state{All: s.DB().All()}
 	for i := 0; i < testDevices; i++ {
-		st.Hist = append(st.Hist, s.DB().History(stationDev(i)))
+		st.Hist = append(st.Hist, s.DB().Trajectory(stationDev(i), 0, math.MaxInt64))
 	}
 	raw, err := json.Marshal(st)
 	if err != nil {

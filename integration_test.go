@@ -316,7 +316,7 @@ func TestLossyRadioStillConverges(t *testing.T) {
 }
 
 func ExampleService() {
-	svc, err := New(Config{Seed: 1})
+	svc, err := New(WithSeed(1))
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -37,11 +37,6 @@
 // sealed run — so recovery seeding from a locdb dump skips exactly the
 // runs the segments already hold. Queries answer from the union of the
 // sealed and hot tiers, which by construction hold disjoint runs.
-//
-// The engine additionally mirrors the fan-out tree's live-occupancy
-// view (current room per device, fed by presences, absences and
-// drops), so OccupancyNow agrees with fanout.Occupancy instead of with
-// the history semantics, where a run extends until the next report.
 package analytics
 
 import (
@@ -90,7 +85,7 @@ type Options struct {
 	// HistoryLimit is the per-device hot-run bound and must mirror the
 	// location store's history limit so eviction stays in lockstep
 	// (locdb.Store.HistoryLimit). Zero or negative disables interval
-	// indexing entirely — only the live occupancy view remains.
+	// indexing entirely.
 	HistoryLimit int
 	// SealInterval is the background sealer's period. Zero means
 	// DefaultSealInterval; negative disables the background sealer
@@ -129,10 +124,6 @@ type Engine struct {
 	sealable  int // positive closed unsealed runs across the hot tier
 	maxSeen   sim.Tick
 
-	// Live occupancy view, mirroring fanout's devRoom/occupancy.
-	devRoom   map[baseband.BDAddr]graph.NodeID
-	occupancy map[graph.NodeID]int
-
 	events     atomic.Int64
 	qContacts  atomic.Int64
 	qOccupancy atomic.Int64
@@ -170,8 +161,6 @@ func Open(opts Options) (*Engine, error) {
 		devs:      make(map[baseband.BDAddr]*devState),
 		roomDevs:  make(map[graph.NodeID]map[baseband.BDAddr]int),
 		watermark: make(map[baseband.BDAddr]sim.Tick),
-		devRoom:   make(map[baseband.BDAddr]graph.NodeID),
-		occupancy: make(map[graph.NodeID]int),
 	}
 	if e.interval == 0 {
 		e.interval = DefaultSealInterval
@@ -252,45 +241,17 @@ func (e *Engine) OnEvents(evs []locdb.Event) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, ev := range evs {
-		e.applyLocked(ev)
-	}
-}
-
-// applyLocked folds one presence change into the live view and the hot
-// tier. The caller holds e.mu.
-func (e *Engine) applyLocked(ev locdb.Event) {
-	if ev.At > e.maxSeen {
-		e.maxSeen = ev.At
-	}
-	switch {
-	case ev.Dropped:
-		e.dropLocked(ev.Device)
-		if room, ok := e.devRoom[ev.Device]; ok {
-			delete(e.devRoom, ev.Device)
-			e.decOccupancy(room)
+		if ev.At > e.maxSeen {
+			e.maxSeen = ev.At
 		}
-	case ev.Present:
-		e.appendLocked(ev.Device, ev.Piconet, ev.At)
-		if old, ok := e.devRoom[ev.Device]; !ok || old != ev.Piconet {
-			if ok {
-				e.decOccupancy(old)
-			}
-			e.devRoom[ev.Device] = ev.Piconet
-			e.occupancy[ev.Piconet]++
+		// A plain absence leaves the history run open (see the package
+		// comment), so only presences and drops touch the hot tier.
+		switch {
+		case ev.Dropped:
+			e.dropLocked(ev.Device)
+		case ev.Present:
+			e.appendLocked(ev.Device, ev.Piconet, ev.At)
 		}
-	default: // absence: history keeps the run open, only the live view moves
-		if old, ok := e.devRoom[ev.Device]; ok && old == ev.Piconet {
-			delete(e.devRoom, ev.Device)
-			e.decOccupancy(old)
-		}
-	}
-}
-
-func (e *Engine) decOccupancy(room graph.NodeID) {
-	if n := e.occupancy[room] - 1; n > 0 {
-		e.occupancy[room] = n
-	} else {
-		delete(e.occupancy, room)
 	}
 }
 
@@ -380,24 +341,19 @@ func (e *Engine) roomRef(room graph.NodeID, dev baseband.BDAddr, d int) {
 	}
 }
 
-// Seed primes the engine from a locdb dump (locdb.Store.Dump): the
-// live view from the current fixes, the hot tier from the recorded
-// histories, minus the prefix the sealed segments already hold (the
-// per-device watermark). Call it once, after SubscribeSink and before
-// traffic flows, exactly like fanout.Tree.Seed; devices the engine
-// already knows are left untouched.
+// Seed primes the engine from a locdb dump (locdb.Store.Dump): the hot
+// tier from the recorded histories, minus the prefix the sealed
+// segments already hold (the per-device watermark), and the retention
+// clock from the newest current fix and run. Call it once, after
+// SubscribeSink and before traffic flows, exactly like
+// fanout.Tree.Seed; devices the engine already knows are left
+// untouched.
 func (e *Engine) Seed(dumps []locdb.DeviceDump) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, d := range dumps {
-		if d.Present {
-			if _, ok := e.devRoom[d.Device]; !ok {
-				e.devRoom[d.Device] = d.Current.Piconet
-				e.occupancy[d.Current.Piconet]++
-			}
-			if d.Current.At > e.maxSeen {
-				e.maxSeen = d.Current.At
-			}
+		if d.Present && d.Current.At > e.maxSeen {
+			e.maxSeen = d.Current.At
 		}
 		if e.limit <= 0 || len(d.History) == 0 {
 			continue
@@ -422,15 +378,6 @@ func (e *Engine) Seed(dumps []locdb.DeviceDump) {
 			e.maxSeen = last
 		}
 	}
-}
-
-// OccupancyNow reports how many devices are currently in the room,
-// from the live view — the same number fanout.Occupancy reports, not
-// the history semantics where a run lasts until the next report.
-func (e *Engine) OccupancyNow(room graph.NodeID) int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.occupancy[room]
 }
 
 // sealLoop is the background sealer: every interval, cut a segment if

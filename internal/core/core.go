@@ -442,7 +442,7 @@ type UserLocation struct {
 // batch was taken at. It is an administrative snapshot: no per-user
 // access checks are applied. Safe for concurrent use like Locate.
 //
-// It reads the location database through the per-shard snapshot path
+// It reads the location database through its cached merged snapshot
 // (locdb.DB.All), so repeated snapshot polling on a quiescent building is
 // lock-free instead of taking one read lock per online user.
 func (s *System) LocateAll() ([]UserLocation, sim.Tick) {

@@ -3,6 +3,7 @@ package ingest_test
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -95,7 +96,7 @@ func dbState(t *testing.T, s *server.Server, devs int) string {
 	}
 	st := state{All: s.DB().All()}
 	for i := 0; i < devs; i++ {
-		st.Hist = append(st.Hist, s.DB().History(testDev(i)))
+		st.Hist = append(st.Hist, s.DB().Trajectory(testDev(i), 0, math.MaxInt64))
 	}
 	raw, err := json.Marshal(st)
 	if err != nil {

@@ -50,7 +50,7 @@ func dumpJSON(t *testing.T, db *DB) string {
 	}
 	out := make([]devHist, 0, len(all))
 	for _, f := range all {
-		out = append(out, devHist{Fix: f, Hist: db.History(f.Device)})
+		out = append(out, devHist{Fix: f, Hist: history(db, f.Device)})
 	}
 	raw, err := json.Marshal(out)
 	if err != nil {
@@ -60,7 +60,7 @@ func dumpJSON(t *testing.T, db *DB) string {
 }
 
 // TestApplyBatchMatchesSequential: one ApplyBatch call must leave the
-// database in exactly the state (fixes, occupants, history, counters)
+// database in exactly the state (fixes, history, counters)
 // that applying the same mutations one at a time would.
 func TestApplyBatchMatchesSequential(t *testing.T) {
 	for _, shards := range []int{1, 4, DefaultShards} {

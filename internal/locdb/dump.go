@@ -88,12 +88,6 @@ func (db *DB) Restore(dumps []DeviceDump) error {
 			fix := d.Current
 			fix.Device = d.Device
 			sh.current[d.Device] = fix
-			occ := sh.occupants[fix.Piconet]
-			if occ == nil {
-				occ = make(map[baseband.BDAddr]bool)
-				sh.occupants[fix.Piconet] = occ
-			}
-			occ[d.Device] = true
 		}
 		sh.version.Add(1)
 		sh.mu.Unlock()

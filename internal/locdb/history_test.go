@@ -25,7 +25,7 @@ func TestHistoryLimitZero(t *testing.T) {
 	if _, err := db.Locate(dev); err != nil {
 		t.Fatalf("Locate: %v", err)
 	}
-	if got := db.History(dev); len(got) != 0 {
+	if got := history(db, dev); len(got) != 0 {
 		t.Fatalf("History with limit 0 = %v", got)
 	}
 	if _, err := db.LocateAt(dev, 50); err == nil {
@@ -42,7 +42,7 @@ func TestHistoryLimitOne(t *testing.T) {
 	db := NewWithHistory(1)
 	dev := baseband.BDAddr(0xA2)
 	historyMoves(db, dev, 3) // rooms 0@10, 1@20, 2@30; only 2@30 survives
-	h := db.History(dev)
+	h := history(db, dev)
 	if len(h) != 1 || h[0].Piconet != 2 || h[0].At != 30 {
 		t.Fatalf("History = %v, want [room 2 @ 30]", h)
 	}
@@ -65,13 +65,13 @@ func TestHistoryExactBoundaryEviction(t *testing.T) {
 	db := NewWithHistory(limit)
 	dev := baseband.BDAddr(0xA3)
 	historyMoves(db, dev, limit)
-	h := db.History(dev)
+	h := history(db, dev)
 	if len(h) != limit || h[0].Piconet != 0 || h[limit-1].Piconet != limit-1 {
 		t.Fatalf("at boundary History = %v", h)
 	}
 	// The limit+1-th move: room 0's run is evicted, the rest shift.
 	present(db, dev, graph.NodeID(limit), sim.Tick(10*(limit+1)))
-	h = db.History(dev)
+	h = history(db, dev)
 	if len(h) != limit || h[0].Piconet != 1 || h[limit-1].Piconet != graph.NodeID(limit) {
 		t.Fatalf("past boundary History = %v", h)
 	}
@@ -202,7 +202,7 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 		if (err1 == nil) != (err2 == nil) || f1 != f2 {
 			t.Fatalf("Locate(%v): source (%v, %v) vs restored (%v, %v)", dev, f1, err1, f2, err2)
 		}
-		h1, h2 := src.History(dev), dst.History(dev)
+		h1, h2 := history(src, dev), history(dst, dev)
 		if len(h1) != len(h2) {
 			t.Fatalf("History(%v): source %v vs restored %v", dev, h1, h2)
 		}

@@ -21,17 +21,16 @@
 // therefore split into N independently locked shards, keyed by a mixed hash
 // of the device address. Operations on one device touch exactly one shard,
 // so presence deltas and queries for different devices proceed in parallel;
-// cross-shard views (Occupants, Present, All, Stats) visit the shards one
-// at a time and are therefore not a single atomic cut across devices —
-// each shard is internally consistent, which is exactly the consistency the
-// paper's delta protocol provides anyway (workstation reports race with
-// queries by design).
+// cross-shard views (All, Dump, Stats) visit the shards one at a time and
+// are therefore not a single atomic cut across devices — each shard is
+// internally consistent, which is exactly the consistency the paper's
+// delta protocol provides anyway (workstation reports race with queries by
+// design).
 //
-// The batch read path is additionally lock-free in the steady state: each
-// shard keeps an immutable snapshot of its current fixes, rebuilt only when
-// the shard has changed since the last snapshot and published through an
-// atomic pointer, so All on a quiescent shard costs two atomic loads and no
-// lock acquisition.
+// The batch read path is additionally lock-free in the steady state: All
+// serves one merged snapshot cached against the shards' version counters
+// (snapshot.go), so on a quiescent database it costs one atomic load per
+// shard and no lock acquisition.
 package locdb
 
 import (
@@ -76,15 +75,11 @@ type Fix struct {
 // Event is a presence change streamed to subscribers.
 type Event struct {
 	Fix
-	// Present is true for a new presence, false for a new absence.
+	// Present is true for a new presence, false for a new absence. A
+	// handover is one presence event in the new room; consumers that keep
+	// per-room state derive the departure from their own view of the
+	// device's room.
 	Present bool `json:"present"`
-	// Prev is the piconet the device was in immediately before this
-	// change, when it had one (HasPrev). A handover directly into a
-	// neighboring cell carries the old room here, so subscribers can
-	// derive the implied departure — and keep per-room aggregates like
-	// occupancy counts — without tracking device state themselves.
-	Prev    graph.NodeID `json:"prev,omitempty"`
-	HasPrev bool         `json:"hasPrev,omitempty"`
 	// Dropped marks the final event of a Drop (logout): unlike a plain
 	// absence, the device's history was erased too, so derived stores
 	// that index the movement history (not just the current fix) must
@@ -93,27 +88,16 @@ type Event struct {
 	Dropped bool `json:"dropped,omitempty"`
 }
 
-// shardSnap is an immutable snapshot of one shard's current fixes,
-// published through shard.snap. version is the shard version it was built
-// at; when it still equals the shard's live version the snapshot is
-// current and readable without the shard lock.
-type shardSnap struct {
-	version uint64
-	fixes   []Fix
-}
-
 // shard is one independently locked partition of the database. Every
-// device hashes to exactly one shard, which holds its current fix, its
-// history, and its room's occupant entry for that device.
+// device hashes to exactly one shard, which holds its current fix and its
+// history.
 type shard struct {
-	mu        sync.RWMutex
-	current   map[baseband.BDAddr]Fix
-	occupants map[graph.NodeID]map[baseband.BDAddr]bool
-	hist      *histdb.Index
+	mu      sync.RWMutex
+	current map[baseband.BDAddr]Fix
+	hist    *histdb.Index
 
-	// version counts mutations; snap caches the last built snapshot.
+	// version counts mutations; the merged All cache is checked against it.
 	version atomic.Uint64
-	snap    atomic.Pointer[shardSnap]
 
 	// Activity counters live per shard so the hot paths never touch a
 	// cache line shared across shards; Stats sums them.
@@ -123,38 +107,10 @@ type shard struct {
 }
 
 func newShard(historyLimit int) *shard {
-	s := &shard{
-		current:   make(map[baseband.BDAddr]Fix),
-		occupants: make(map[graph.NodeID]map[baseband.BDAddr]bool),
-		hist:      histdb.New(historyLimit),
+	return &shard{
+		current: make(map[baseband.BDAddr]Fix),
+		hist:    histdb.New(historyLimit),
 	}
-	s.snap.Store(&shardSnap{})
-	return s
-}
-
-// snapshot returns the shard's current fixes paired with the shard
-// version they were built at. In the steady state (no mutation since
-// the last call) it is lock-free: two atomic loads, no mutex. After a
-// mutation it rebuilds under the read lock and publishes the result for
-// subsequent callers. The returned snapshot is immutable.
-func (sh *shard) snapshot() *shardSnap {
-	v := sh.version.Load()
-	if s := sh.snap.Load(); s.version == v {
-		return s
-	}
-	sh.mu.RLock()
-	// Re-read under the lock: the version observed here is consistent
-	// with the map contents because mutators bump it while holding mu.
-	v = sh.version.Load()
-	fixes := make([]Fix, 0, len(sh.current))
-	for _, f := range sh.current {
-		fixes = append(fixes, f)
-	}
-	sh.mu.RUnlock()
-	sort.Slice(fixes, func(i, j int) bool { return fixes[i].Device < fixes[j].Device })
-	s := &shardSnap{version: v, fixes: fixes}
-	sh.snap.Store(s)
-	return s
 }
 
 // DB is the central location database. It is safe for concurrent use: in
@@ -274,9 +230,7 @@ func shardIndex(v uint64, n int) int {
 // holds sh.mu; the returned bool reports whether state changed. Delta
 // semantics: re-reporting an unchanged piconet is a no-op, and an
 // absence from a piconet the device is no longer in is ignored, so
-// out-of-order reports cannot erase a newer fix. A presence event
-// carries the previous piconet, when there was one, so subscribers see
-// a handover as one fact.
+// out-of-order reports cannot erase a newer fix.
 func (db *DB) applyLocked(sh *shard, idx int, m Mutation) (Event, bool) {
 	cur, had := sh.current[m.Dev]
 	same := had && cur.Piconet == m.Piconet
@@ -285,23 +239,12 @@ func (db *DB) applyLocked(sh *shard, idx int, m Mutation) (Event, bool) {
 	switch {
 	case m.Op == MutPresence && !same:
 		op = JournalPresence
-		if had {
-			delete(sh.occupants[cur.Piconet], m.Dev)
-			ev.Prev, ev.HasPrev = cur.Piconet, true
-		}
 		sh.current[m.Dev] = ev.Fix
-		occ := sh.occupants[m.Piconet]
-		if occ == nil {
-			occ = make(map[baseband.BDAddr]bool)
-			sh.occupants[m.Piconet] = occ
-		}
-		occ[m.Dev] = true
 		sh.hist.Append(m.Dev, m.Piconet, m.At)
 		sh.updates.Add(1)
 	case m.Op == MutAbsence && same:
 		op = JournalAbsence
 		delete(sh.current, m.Dev)
-		delete(sh.occupants[m.Piconet], m.Dev)
 		sh.absences.Add(1)
 	default:
 		return Event{}, false
@@ -327,7 +270,6 @@ func (db *DB) Drop(dev baseband.BDAddr) bool {
 	changed := false
 	ev := Event{Fix: Fix{Device: dev}, Present: false, Dropped: true}
 	if cur, ok := sh.current[dev]; ok {
-		delete(sh.occupants[cur.Piconet], dev)
 		sh.version.Add(1)
 		changed = true
 		ev.Fix = cur
@@ -398,23 +340,6 @@ func (db *DB) Trajectory(dev baseband.BDAddr, from, to sim.Tick) []Fix {
 	return out
 }
 
-// Occupants returns the devices currently present in the piconet, in
-// ascending address order. Devices of one room live on many shards, so the
-// view is assembled shard by shard; it is consistent per shard but not one
-// atomic cut across all of them.
-func (db *DB) Occupants(piconet graph.NodeID) []baseband.BDAddr {
-	var out []baseband.BDAddr
-	for _, sh := range db.shards {
-		sh.mu.RLock()
-		for dev := range sh.occupants[piconet] {
-			out = append(out, dev)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // All returns every current fix, in ascending device order. The merged
 // view is cached against a per-shard version vector: on a quiescent
 // database the call is a handful of atomic loads and ZERO allocation —
@@ -424,22 +349,6 @@ func (db *DB) Occupants(piconet graph.NodeID) []baseband.BDAddr {
 func (db *DB) All() []Fix {
 	db.snapshotQueries.Add(1)
 	return db.allSnapshot().fixes
-}
-
-// History returns the device's recorded movement history, oldest first.
-func (db *DB) History(dev baseband.BDAddr) []Fix {
-	sh := db.shardOf(dev)
-	sh.mu.RLock()
-	visits := sh.hist.Visits(dev)
-	sh.mu.RUnlock()
-	if len(visits) == 0 {
-		return []Fix{}
-	}
-	out := make([]Fix, len(visits))
-	for i, v := range visits {
-		out[i] = Fix{Device: dev, Piconet: v.Piconet, At: v.At}
-	}
-	return out
 }
 
 // Present returns the number of devices with a known position.

@@ -2,6 +2,7 @@ package locdb
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -35,6 +36,11 @@ func (f eachEvent) OnEvents(evs []Event) {
 	}
 }
 
+// history reads a device's whole recorded history, oldest first.
+func history(db Store, dev baseband.BDAddr) []Fix {
+	return db.Trajectory(dev, 0, math.MaxInt64)
+}
+
 func TestLocateUnknown(t *testing.T) {
 	db := New()
 	if _, err := db.Locate(dev1); !errors.Is(err, ErrNotPresent) {
@@ -61,8 +67,8 @@ func TestPresenceLifecycle(t *testing.T) {
 	if fix.Piconet != 5 {
 		t.Errorf("piconet after handover = %d, want 5", fix.Piconet)
 	}
-	if occ := db.Occupants(3); len(occ) != 0 {
-		t.Errorf("old piconet still occupied: %v", occ)
+	if all := db.All(); len(all) != 1 || all[0].Piconet != 5 {
+		t.Errorf("current fixes after handover = %v, want one in piconet 5", all)
 	}
 	// Absence.
 	absent(db, dev1, 5, 300)
@@ -79,7 +85,7 @@ func TestDeltaSemantics(t *testing.T) {
 	if got := db.Stats().Updates; got != 1 {
 		t.Errorf("Updates = %d, want 1 (delta semantics)", got)
 	}
-	if h := db.History(dev1); len(h) != 1 {
+	if h := history(db, dev1); len(h) != 1 {
 		t.Errorf("history length = %d, want 1", len(h))
 	}
 	// The stored fix keeps the original timestamp.
@@ -110,28 +116,12 @@ func TestStaleAbsenceIgnored(t *testing.T) {
 	absent(db, dev2, 3, 100)
 }
 
-func TestOccupants(t *testing.T) {
-	db := New()
-	present(db, dev2, 3, 100)
-	present(db, dev1, 3, 110)
-	got := db.Occupants(3)
-	if len(got) != 2 || got[0] != dev1 || got[1] != dev2 {
-		t.Errorf("Occupants = %v, want sorted [dev1 dev2]", got)
-	}
-	if got := db.Occupants(99); len(got) != 0 {
-		t.Errorf("Occupants(empty) = %v", got)
-	}
-	if db.Present() != 2 {
-		t.Errorf("Present = %d, want 2", db.Present())
-	}
-}
-
 func TestHistoryBounded(t *testing.T) {
 	db := NewWithHistory(4)
 	for i := 0; i < 10; i++ {
 		present(db, dev1, graph.NodeID(i), sim.Tick(i*100))
 	}
-	h := db.History(dev1)
+	h := history(db, dev1)
 	if len(h) != 4 {
 		t.Fatalf("history length = %d, want 4", len(h))
 	}
@@ -143,12 +133,12 @@ func TestHistoryBounded(t *testing.T) {
 func TestHistoryDisabled(t *testing.T) {
 	db := NewWithHistory(0)
 	present(db, dev1, 1, 10)
-	if h := db.History(dev1); len(h) != 0 {
+	if h := history(db, dev1); len(h) != 0 {
 		t.Errorf("history with limit 0 = %v", h)
 	}
 	db2 := NewWithHistory(-5)
 	present(db2, dev1, 1, 10)
-	if h := db2.History(dev1); len(h) != 0 {
+	if h := history(db2, dev1); len(h) != 0 {
 		t.Errorf("negative limit should disable history, got %v", h)
 	}
 }
@@ -156,10 +146,10 @@ func TestHistoryDisabled(t *testing.T) {
 func TestHistoryCopyIsolated(t *testing.T) {
 	db := New()
 	present(db, dev1, 1, 10)
-	h := db.History(dev1)
+	h := db.Trajectory(dev1, 0, 10)
 	h[0].Piconet = 42
-	if db.History(dev1)[0].Piconet != 1 {
-		t.Error("History exposed internal state")
+	if db.Trajectory(dev1, 0, 10)[0].Piconet != 1 {
+		t.Error("Trajectory exposed internal state")
 	}
 }
 
@@ -170,11 +160,11 @@ func TestDrop(t *testing.T) {
 	if _, err := db.Locate(dev1); err == nil {
 		t.Error("dropped device still present")
 	}
-	if len(db.History(dev1)) != 0 {
+	if len(history(db, dev1)) != 0 {
 		t.Error("dropped device kept history")
 	}
-	if len(db.Occupants(3)) != 0 {
-		t.Error("dropped device still occupies piconet")
+	if len(db.All()) != 0 {
+		t.Error("dropped device still has a current fix")
 	}
 	db.Drop(dev2) // unknown: no-op
 }
@@ -206,10 +196,10 @@ func TestSubscribe(t *testing.T) {
 	}
 }
 
-// TestSubscribeHandoverCarriesPrev: a handover event announces the old
-// piconet, so stream consumers (the fan-out tree, occupancy counters)
-// can derive the implied departure without tracking device state.
-func TestSubscribeHandoverCarriesPrev(t *testing.T) {
+// TestSubscribeHandoverIsOneEvent: a handover reaches subscribers as one
+// presence event in the new room, with no separate absence from the old
+// one; consumers derive the departure from their own view of the device.
+func TestSubscribeHandoverIsOneEvent(t *testing.T) {
 	db := New()
 	var events []Event
 	db.SubscribeSink(eachEvent(func(e Event) { events = append(events, e) }))
@@ -218,11 +208,8 @@ func TestSubscribeHandoverCarriesPrev(t *testing.T) {
 	if len(events) != 2 {
 		t.Fatalf("events = %d, want 2", len(events))
 	}
-	if events[0].HasPrev {
-		t.Errorf("first appearance claims a previous piconet: %+v", events[0])
-	}
-	if !events[1].HasPrev || events[1].Prev != 3 {
-		t.Errorf("handover event = %+v, want Prev 3", events[1])
+	if !events[1].Present || events[1].Piconet != 5 {
+		t.Errorf("handover event = %+v, want a presence in piconet 5", events[1])
 	}
 }
 
@@ -342,7 +329,7 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 					t.Errorf("Locate during churn: %v", err)
 					return
 				}
-				db.Occupants(graph.NodeID(j % 5))
+				db.All()
 			}
 			absent(db, dev, graph.NodeID(99), 1000) // stale, ignored
 		}()

@@ -93,24 +93,13 @@ func TestShardedEquivalence(t *testing.T) {
 		if (err1 == nil) != (err2 == nil) || f1 != f2 {
 			t.Fatalf("Locate(%v): single (%v, %v) vs sharded (%v, %v)", dev, f1, err1, f2, err2)
 		}
-		h1, h2 := single.History(dev), sharded.History(dev)
+		h1, h2 := history(single, dev), history(sharded, dev)
 		if len(h1) != len(h2) {
 			t.Fatalf("History(%v): single %d entries, sharded %d", dev, len(h1), len(h2))
 		}
 		for j := range h1 {
 			if h1[j] != h2[j] {
 				t.Fatalf("History(%v)[%d]: %v vs %v", dev, j, h1[j], h2[j])
-			}
-		}
-	}
-	for r := graph.NodeID(0); r < rooms; r++ {
-		o1, o2 := single.Occupants(r), sharded.Occupants(r)
-		if len(o1) != len(o2) {
-			t.Fatalf("Occupants(%d): single %v, sharded %v", r, o1, o2)
-		}
-		for j := range o1 {
-			if o1[j] != o2[j] {
-				t.Fatalf("Occupants(%d)[%d]: %v vs %v", r, j, o1[j], o2[j])
 			}
 		}
 	}
@@ -199,7 +188,7 @@ func TestShardedConcurrentHammer(t *testing.T) {
 					db.All()
 				}
 				if i%11 == 0 {
-					db.Occupants(room)
+					history(db, dev)
 				}
 			}
 		}()
@@ -218,36 +207,6 @@ func TestShardedConcurrentHammer(t *testing.T) {
 	}
 	if st.Shards != 8 || st.Present != workers*50 {
 		t.Fatalf("stats snapshot wrong: %+v", st)
-	}
-}
-
-// TestOccupantsAcrossShards: one room's devices hash to many shards; the
-// merged view must contain all of them exactly once.
-func TestOccupantsAcrossShards(t *testing.T) {
-	db, err := NewSharded(16, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const room = graph.NodeID(3)
-	want := map[baseband.BDAddr]bool{}
-	for i := 0; i < 200; i++ {
-		dev := baseband.BDAddr(0xD000_0000_0000 + uint64(i))
-		present(db, dev, room, sim.Tick(i))
-		want[dev] = true
-	}
-	got := db.Occupants(room)
-	if len(got) != len(want) {
-		t.Fatalf("Occupants returned %d devices, want %d", len(got), len(want))
-	}
-	seen := map[baseband.BDAddr]bool{}
-	for _, dev := range got {
-		if seen[dev] {
-			t.Fatalf("duplicate occupant %v", dev)
-		}
-		seen[dev] = true
-		if !want[dev] {
-			t.Fatalf("unexpected occupant %v", dev)
-		}
 	}
 }
 

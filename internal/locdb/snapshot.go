@@ -13,9 +13,10 @@ import "sort"
 //     write lock. A merged snapshot records the version vector it was
 //     built from; the cache is valid exactly while every shard still
 //     reports that version. Checking is len(shards) atomic loads.
-//   - On mismatch, one caller (serialized by allMu) re-merges the
-//     per-shard snapshots and publishes the result. Concurrent callers
-//     that lose the race reuse the fresh build.
+//   - On mismatch, one caller (serialized by allMu) copies every shard's
+//     current fixes, reading the shard's version under the same read
+//     lock, and publishes the sorted result. Concurrent callers that
+//     lose the race reuse the fresh build.
 //
 // Snapshots are immutable once published and shared between callers:
 // the fixes slice of All must not be modified by the recipient.
@@ -59,10 +60,15 @@ func (db *DB) rebuildAll() *allSnap {
 	}
 	vers := make([]uint64, len(db.shards))
 	var fixes []Fix
-	for i := range db.shards {
-		ss := db.shards[i].snapshot()
-		vers[i] = ss.version
-		fixes = append(fixes, ss.fixes...)
+	for i, sh := range db.shards {
+		sh.mu.RLock()
+		// Mutators bump the version while holding mu, so the version
+		// read here is the one the copied fixes belong to.
+		vers[i] = sh.version.Load()
+		for _, f := range sh.current {
+			fixes = append(fixes, f)
+		}
+		sh.mu.RUnlock()
 	}
 	sort.Slice(fixes, func(i, j int) bool { return fixes[i].Device < fixes[j].Device })
 	s := &allSnap{vers: vers, fixes: fixes}

@@ -2,7 +2,6 @@ package locdb
 
 import (
 	"bips/internal/baseband"
-	"bips/internal/graph"
 	"bips/internal/sim"
 )
 
@@ -35,16 +34,10 @@ type Store interface {
 	// Trajectory returns the fixes whose runs overlap [from, to],
 	// oldest first.
 	Trajectory(dev baseband.BDAddr, from, to sim.Tick) []Fix
-	// History returns the device's full recorded history, oldest first.
-	History(dev baseband.BDAddr) []Fix
-	// Occupants returns the devices currently in the piconet, ascending.
-	Occupants(piconet graph.NodeID) []baseband.BDAddr
 	// All returns every current fix, in ascending device order. The
 	// returned slice is a shared immutable snapshot: callers must not
 	// modify it.
 	All() []Fix
-	// Present returns the number of devices with a known position.
-	Present() int
 	// Dump returns every device's full state (current fix plus recorded
 	// history), ascending by device. It is the seed for derived indexes
 	// (the analytics engine rebuilds its hot interval store from it) and

@@ -1,7 +1,7 @@
 // Package metrics is a small, dependency-free counter and histogram
 // registry for the serving layer. It exists so the server can answer the
-// wire protocol's MsgStats query and so the load generator can report
-// latency percentiles without pulling in an external metrics stack.
+// wire protocol's MsgStats query without pulling in an external metrics
+// stack.
 //
 // Counters and histograms are lock-free on the hot path (atomic adds);
 // the registry map itself is only locked on first registration and on
@@ -11,7 +11,6 @@ package metrics
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -192,14 +191,6 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	return s.Max
 }
 
-// Mean returns the average observation, or 0 with no observations.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}
-
 // Registry is a named collection of counters and histograms.
 type Registry struct {
 	mu    sync.RWMutex
@@ -271,16 +262,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.Snapshot()
 	}
 	return s
-}
-
-// CounterNames returns the registered counter names, sorted.
-func (r *Registry) CounterNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.ctrs))
-	for name := range r.ctrs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

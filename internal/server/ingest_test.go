@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"encoding/json"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -218,7 +219,12 @@ func TestIngestMatchesSingleDeltaPath(t *testing.T) {
 			HidA []locdb.Fix
 			HidB []locdb.Fix
 		}
-		raw, err := json.Marshal(state{All: s.DB().All(), HidA: s.DB().History(devA), HidB: s.DB().History(devB)})
+		db := s.DB()
+		raw, err := json.Marshal(state{
+			All:  db.All(),
+			HidA: db.Trajectory(devA, 0, math.MaxInt64),
+			HidB: db.Trajectory(devB, 0, math.MaxInt64),
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -272,8 +272,8 @@ func (s *Server) resolveDelta(p wire.Presence) (locdb.Mutation, bool, error) {
 	if err != nil {
 		return locdb.Mutation{}, false, err
 	}
-	if _, ok := s.bld.Room(p.Room); !ok {
-		return locdb.Mutation{}, false, fmt.Errorf("%w: room %d", building.ErrUnknownRoom, p.Room)
+	if err := s.roomKnown(p.Room); err != nil {
+		return locdb.Mutation{}, false, err
 	}
 	// Only logged-in devices are tracked; silently ignore the rest
 	// (anonymous devices may answer inquiries but BIPS does not track
@@ -778,8 +778,8 @@ func (s *Server) dispatch(cs *connSubs, t turn, env wire.Envelope, buf []byte) [
 		if err := wire.UnmarshalBody(env, &h); err != nil {
 			return fail(err)
 		}
-		if _, okRoom := s.bld.Room(h.Room); !okRoom {
-			return fail(fmt.Errorf("%w: room %d", building.ErrUnknownRoom, h.Room))
+		if err := s.roomKnown(h.Room); err != nil {
+			return fail(err)
 		}
 		return ok(wire.MsgOK, struct{}{})
 	case wire.MsgLogin:
@@ -825,8 +825,8 @@ func (s *Server) dispatch(cs *connSubs, t turn, env wire.Envelope, buf []byte) [
 		if err := wire.UnmarshalBody(env, &h); err != nil {
 			return fail(err)
 		}
-		if _, okRoom := s.bld.Room(h.Room); !okRoom {
-			return fail(fmt.Errorf("%w: room %d", building.ErrUnknownRoom, h.Room))
+		if err := s.roomKnown(h.Room); err != nil {
+			return fail(err)
 		}
 		ackRes, err := s.ingest.Hello(h)
 		if err != nil {

@@ -100,7 +100,7 @@ func TestPresenceAnonymousDeviceIgnored(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if s.DB().Present() != 0 {
+	if s.DB().Stats().Present != 0 {
 		t.Error("anonymous device tracked")
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"bips/internal/building"
 	"bips/internal/fanout"
 	"bips/internal/registry"
 	"bips/internal/wire"
@@ -284,12 +283,6 @@ func (cs *connSubs) shutdown() {
 // right. Rooms must exist in the building.
 func (s *Server) resolveFilter(req wire.Subscribe) (fanout.Filter, error) {
 	querier := registry.UserID(req.Querier)
-	roomKnown := func(id building.RoomID) error {
-		if _, ok := s.bld.Room(id); !ok {
-			return fmt.Errorf("%w: room %d", building.ErrUnknownRoom, id)
-		}
-		return nil
-	}
 	switch req.Filter.Kind {
 	case wire.FilterDevice, wire.FilterZone:
 		dev, err := s.reg.Authorize(querier, registry.UserID(req.Filter.Target))
@@ -300,7 +293,7 @@ func (s *Server) resolveFilter(req wire.Subscribe) (fanout.Filter, error) {
 			return fanout.Filter{Kind: fanout.KindDevice, Device: dev}, nil
 		}
 		for _, r := range req.Filter.Rooms {
-			if err := roomKnown(r); err != nil {
+			if err := s.roomKnown(r); err != nil {
 				return fanout.Filter{}, err
 			}
 		}
@@ -308,22 +301,19 @@ func (s *Server) resolveFilter(req wire.Subscribe) (fanout.Filter, error) {
 	default:
 		// all / room / occupancy: no target user to authorize against,
 		// so the querier itself must be online and allowed to locate.
-		if _, err := s.reg.DeviceOf(querier); err != nil {
+		if err := s.authorizeRoomQuery(querier); err != nil {
 			return fanout.Filter{}, err
-		}
-		if !s.reg.HasRight(querier, registry.RightLocate) {
-			return fanout.Filter{}, fmt.Errorf("%w: %s lacks %q", registry.ErrDenied, querier, registry.RightLocate)
 		}
 		switch req.Filter.Kind {
 		case wire.FilterAll:
 			return fanout.Filter{Kind: fanout.KindAll}, nil
 		case wire.FilterRoom:
-			if err := roomKnown(req.Filter.Room); err != nil {
+			if err := s.roomKnown(req.Filter.Room); err != nil {
 				return fanout.Filter{}, err
 			}
 			return fanout.Filter{Kind: fanout.KindRoom, Room: req.Filter.Room}, nil
 		default: // wire.FilterOccupancy, Validate ruled out the rest
-			if err := roomKnown(req.Filter.Room); err != nil {
+			if err := s.roomKnown(req.Filter.Room); err != nil {
 				return fanout.Filter{}, err
 			}
 			return fanout.Filter{

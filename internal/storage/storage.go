@@ -428,20 +428,9 @@ func (d *Durable) Trajectory(dev baseband.BDAddr, from, to sim.Tick) []locdb.Fix
 	return d.mem.Trajectory(dev, from, to)
 }
 
-// History returns the device's recorded history.
-func (d *Durable) History(dev baseband.BDAddr) []locdb.Fix { return d.mem.History(dev) }
-
-// Occupants returns the devices currently in the piconet.
-func (d *Durable) Occupants(piconet graph.NodeID) []baseband.BDAddr {
-	return d.mem.Occupants(piconet)
-}
-
 // All returns every current fix. The slice is a shared immutable
 // snapshot.
 func (d *Durable) All() []locdb.Fix { return d.mem.All() }
-
-// Present returns the number of devices with a known position.
-func (d *Durable) Present() int { return d.mem.Present() }
 
 // Dump returns every device's full state from the memory store.
 func (d *Durable) Dump() []locdb.DeviceDump { return d.mem.Dump() }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -51,7 +52,7 @@ func sameState(t *testing.T, want, got locdb.Store) {
 	if !reflect.DeepEqual(wdumps, gdumps) {
 		t.Fatalf("state mismatch:\n want %+v\n  got %+v", wdumps, gdumps)
 	}
-	if w, g := want.Present(), got.Present(); w != g {
+	if w, g := want.Stats().Present, got.Stats().Present; w != g {
 		t.Fatalf("Present: want %d, got %d", w, g)
 	}
 }
@@ -352,17 +353,12 @@ func TestDurableIsAStore(t *testing.T) {
 		if !reflect.DeepEqual(mem.Trajectory(dev, 50, 450), d.Trajectory(dev, 50, 450)) {
 			t.Fatalf("Trajectory(%v) differs", dev)
 		}
-		if !reflect.DeepEqual(mem.History(dev), d.History(dev)) {
-			t.Fatalf("History(%v) differs", dev)
+		if !reflect.DeepEqual(mem.Trajectory(dev, 0, math.MaxInt64), d.Trajectory(dev, 0, math.MaxInt64)) {
+			t.Fatalf("history of %v differs", dev)
 		}
 	}
 	if !reflect.DeepEqual(mem.All(), d.All()) {
 		t.Fatal("All differs")
-	}
-	for r := graph.NodeID(0); r < 11; r++ {
-		if !reflect.DeepEqual(mem.Occupants(r), d.Occupants(r)) {
-			t.Fatalf("Occupants(%d) differs", r)
-		}
 	}
 
 	// Events flow through the durable wrapper too.

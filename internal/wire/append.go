@@ -365,7 +365,7 @@ func decodeEnvelopeFast(p []byte) (env Envelope, ok bool) {
 	if j >= len(p) {
 		return Envelope{}, false
 	}
-	t, ok := internMsgType(p[i:j])
+	t, ok := msgTypes[string(p[i:j])]
 	if !ok {
 		return Envelope{}, false
 	}
@@ -560,72 +560,18 @@ func scanCanonicalNumber(b []byte, i int) (int, bool) {
 	return i, true
 }
 
-// internMsgType maps an escape-free wire type name onto the shared
-// MsgType constant so a decoded envelope does not allocate a fresh
-// string per frame. Unknown names report false and force the
-// json.Unmarshal fallback, which preserves the decode-anything
-// tolerance for foreign or future peers.
-func internMsgType(b []byte) (MsgType, bool) {
-	switch string(b) {
-	case string(MsgHello):
-		return MsgHello, true
-	case string(MsgLogin):
-		return MsgLogin, true
-	case string(MsgLogout):
-		return MsgLogout, true
-	case string(MsgLocate):
-		return MsgLocate, true
-	case string(MsgLocateAt):
-		return MsgLocateAt, true
-	case string(MsgTrajectory):
-		return MsgTrajectory, true
-	case string(MsgPath):
-		return MsgPath, true
-	case string(MsgRooms):
-		return MsgRooms, true
-	case string(MsgStats):
-		return MsgStats, true
-	case string(MsgIngestHello):
-		return MsgIngestHello, true
-	case string(MsgPresenceBatch):
-		return MsgPresenceBatch, true
-	case string(MsgContacts):
-		return MsgContacts, true
-	case string(MsgOccupancy):
-		return MsgOccupancy, true
-	case string(MsgDwell):
-		return MsgDwell, true
-	case string(MsgSubscribe):
-		return MsgSubscribe, true
-	case string(MsgUnsubscribe):
-		return MsgUnsubscribe, true
-	case string(MsgOK):
-		return MsgOK, true
-	case string(MsgLocateResult):
-		return MsgLocateResult, true
-	case string(MsgTrajectoryResult):
-		return MsgTrajectoryResult, true
-	case string(MsgPathResult):
-		return MsgPathResult, true
-	case string(MsgRoomsResult):
-		return MsgRoomsResult, true
-	case string(MsgStatsResult):
-		return MsgStatsResult, true
-	case string(MsgIngestAck):
-		return MsgIngestAck, true
-	case string(MsgContactsResult):
-		return MsgContactsResult, true
-	case string(MsgOccupancyResult):
-		return MsgOccupancyResult, true
-	case string(MsgDwellResult):
-		return MsgDwellResult, true
-	case string(MsgEvent):
-		return MsgEvent, true
-	case string(MsgError):
-		return MsgError, true
+// msgTypes maps the wire name of every type in AllMsgTypes onto its
+// shared MsgType constant, so a decoded envelope does not allocate a
+// fresh string per frame. A name missing here forces the json.Unmarshal
+// fallback, which preserves the decode-anything tolerance for foreign
+// or future peers.
+var msgTypes = func() map[string]MsgType {
+	m := make(map[string]MsgType, len(AllMsgTypes))
+	for _, t := range AllMsgTypes {
+		m[string(t)] = t
 	}
-	return "", false
-}
+	return m
+}()
 
 // expectLit matches lit at p[i:] and returns the index past it.
 func expectLit(p []byte, i int, lit string) (int, bool) {

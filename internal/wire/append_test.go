@@ -123,6 +123,13 @@ func TestAppendEnvelopeAllTypes(t *testing.T) {
 				t.Errorf("DecodeEnvelope(%s) = %+v, want type=%s seq=%d body=%s", got, dec, mt, seq, body)
 			}
 		}
+		// Every listed type is interned: its bodiless envelope decodes
+		// without allocating (a name missing from the intern table falls
+		// back to json.Unmarshal, which allocates).
+		bare := AppendEnvelopeRaw(nil, Envelope{Type: mt, Seq: seq})
+		if allocs := testing.AllocsPerRun(10, func() { _, _ = DecodeEnvelope(bare) }); allocs != 0 {
+			t.Errorf("DecodeEnvelope(%s) allocates %.0f objects, want 0", bare, allocs)
+		}
 	}
 }
 

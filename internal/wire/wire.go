@@ -106,7 +106,8 @@ const (
 
 // AllMsgTypes lists every message type of the protocol, requests first,
 // then responses. It is the registry docs/PROTOCOL.md is checked against
-// (see protocoldoc_test.go); keep it in sync with the constant block
+// (see protocoldoc_test.go) and the envelope decoder interns type names
+// from; keep it in sync with the constant block
 // above — a test parses this file's AST and fails if a MsgType constant is
 // missing here.
 var AllMsgTypes = []MsgType{

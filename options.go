@@ -15,9 +15,7 @@ import (
 var ErrBadOption = errors.New("bips: invalid option")
 
 // Option configures a Service at construction time. Options are applied
-// in order, so a later option overrides an earlier one. The deprecated
-// Config struct also satisfies Option, which keeps pre-options callers of
-// New compiling unchanged.
+// in order, so a later option overrides an earlier one.
 type Option interface {
 	apply(*settings) error
 }
@@ -188,34 +186,4 @@ func WithCoverageRadius(meters float64) Option {
 		s.radius = meters
 		return nil
 	})
-}
-
-// Config is the pre-options configuration form.
-//
-// Deprecated: use the functional options WithSeed, WithDutyCycle,
-// WithPolicy and WithBuilding instead. Config remains accepted by New —
-// it satisfies Option — so existing callers keep compiling.
-type Config struct {
-	// Seed drives all randomness (radio phases, backoffs, walkers).
-	Seed int64
-	// DiscoverySlot and CyclePeriod override the workstation duty
-	// cycle. Zero values select the paper's 3.84 s / 15.4 s policy.
-	DiscoverySlot time.Duration
-	CyclePeriod   time.Duration
-}
-
-// apply makes Config an Option: the deprecated shim maps the struct
-// fields onto the equivalent functional options.
-func (c Config) apply(s *settings) error {
-	s.seed = c.Seed
-	if c.DiscoverySlot != 0 || c.CyclePeriod != 0 {
-		// Preserve the historical behavior exactly: the pair is passed
-		// through unvalidated here and rejected by the core validator,
-		// so callers relying on New's error keep getting it.
-		s.cycle = inquiry.DutyCycle{
-			Inquiry: sim.FromDuration(c.DiscoverySlot),
-			Period:  sim.FromDuration(c.CyclePeriod),
-		}
-	}
-	return nil
 }

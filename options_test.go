@@ -79,38 +79,6 @@ func TestBadOptionsRejected(t *testing.T) {
 	}
 }
 
-// TestConfigShimEquivalence proves the deprecated Config form configures
-// the exact same deployment as the functional options.
-func TestConfigShimEquivalence(t *testing.T) {
-	run := func(svc *Service) string {
-		svc.MustRegister("alice", "pw")
-		svc.MustRegister("bob", "pw")
-		if _, err := svc.AddStationaryUser("bob", "pw", "Lab 1"); err != nil {
-			t.Fatal(err)
-		}
-		svc.Start()
-		defer svc.Stop()
-		svc.Run(90 * time.Second)
-		loc, err := svc.Locate("alice", "bob")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return loc.RoomName + loc.Age.String()
-	}
-
-	old, err := New(Config{Seed: 11, DiscoverySlot: time.Second, CyclePeriod: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	modern, err := New(WithSeed(11), WithDutyCycle(time.Second, 5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := run(old), run(modern); a != b {
-		t.Errorf("Config shim diverged from options: %q vs %q", a, b)
-	}
-}
-
 func TestWithBuildingCustomRooms(t *testing.T) {
 	svc, err := New(WithBuilding(CorridorPlan(4, 12)))
 	if err != nil {
