@@ -2,11 +2,14 @@ package server_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"bips/internal/baseband"
 	"bips/internal/graph"
 	"bips/internal/locdb"
 	"bips/internal/server"
@@ -355,5 +358,101 @@ func TestIngestPipelinedFrames(t *testing.T) {
 	}
 	if gaps := s.Ingest().Stats()["seq_gaps"]; gaps != 0 {
 		t.Fatalf("ingest.seq_gaps = %d, want 0", gaps)
+	}
+}
+
+// TestPresenceBatchFallbackStartsClean: a canonical frame reporting
+// presence, then on the same connection a valid but non-canonical frame
+// that omits "present" (false by JSON's rules). The second frame must
+// apply absences. encoding/json decodes into a reused slice element
+// without zeroing it, so a pooled batch not reset before the fallback
+// would carry "present":true over from the first frame.
+func TestPresenceBatchFallbackStartsClean(t *testing.T) {
+	s := newServer(t)
+	devs := map[string]baseband.BDAddr{"alice": devA, "bob": devB}
+	for user, dev := range devs {
+		if err := s.Login(wire.Login{User: user, Password: pw, Device: wire.FormatAddr(dev)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn := servePipe(t, s)
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	codec := wire.NewFrameCodec(conn)
+	var buf []byte
+	call := func(payload []byte) wire.IngestAck {
+		t.Helper()
+		if err := codec.SendPayload(payload); err != nil {
+			t.Fatal(err)
+		}
+		env, b, err := codec.RecvBuf(buf)
+		buf = b
+		var ack wire.IngestAck
+		if err != nil || env.Type != wire.MsgIngestAck || !ack.DecodeBody(env.Body) {
+			t.Fatalf("answer %+v, %v", env, err)
+		}
+		return ack
+	}
+	hello := wire.IngestHello{Session: "st", Station: "S", Room: 1}
+	call(wire.AppendEnvelope(nil, wire.MsgIngestHello, 1, &hello))
+
+	a, b := wire.FormatAddr(devA), wire.FormatAddr(devB)
+	for seq := uint64(1); seq < 32; seq += 2 {
+		room, at := graph.NodeID(1+seq%6), sim.Tick(10*seq)
+		present := ingestFrame("st", seq, presenceAt(a, room, at, true), presenceAt(b, room, at, true))
+		if ack := call(wire.AppendEnvelope(nil, wire.MsgPresenceBatch, seq, &present)); ack.Applied != 2 {
+			t.Fatalf("frame %d (presence) ack = %+v", seq, ack)
+		}
+		absent := fmt.Sprintf(`{"type":"presence.batch","seq":%d,"body":{"session":"st","seq":%d,"deltas":[`+
+			`{"device":%q,"room":%d,"at":%d},{"device":%q,"room":%d,"at":%d}]}}`,
+			seq+1, seq+1, a, room, at+1, b, room, at+1)
+		if ack := call([]byte(absent)); ack.Acked != seq+1 || ack.Applied != 2 {
+			t.Fatalf("frame %d (absence, non-canonical) ack = %+v, want 2 absences applied", seq+1, ack)
+		}
+		for _, dev := range devs {
+			if fix, err := s.DB().Locate(dev); err == nil {
+				t.Fatalf("after frame %d %v is still located at %+v", seq+1, dev, fix)
+			}
+		}
+	}
+}
+
+// TestPresenceBatchNonCanonicalSameAck: a valid body in a form the
+// canonical decoder refuses — whitespace, reordered keys, an escaped
+// session — is decoded by the fallback and answered exactly like its
+// canonical form.
+func TestPresenceBatchNonCanonicalSameAck(t *testing.T) {
+	a := wire.FormatAddr(devA)
+	canonical := ingestFrame("st", 1, presenceAt(a, 6, 20, true), presenceAt(a, 4, 30, true)).AppendTo(nil)
+	forms := map[string]string{
+		"canonical": string(canonical),
+		"spaces": fmt.Sprintf(`{ "session": "st", "seq": 1, "deltas": [ {"device": %q, "room": 6, "at": 20, "present": true},`+
+			` {"device": %q, "room": 4, "at": 30, "present": true} ] }`, a, a),
+		"reordered": fmt.Sprintf(`{"deltas":[{"present":true,"at":20,"room":6,"device":%q},`+
+			`{"device":%q,"present":true,"room":4,"at":30}],"seq":1,"session":"st"}`, a, a),
+		"escaped session": strings.Replace(string(canonical), `"session":"st"`, `"session":"s\u0074"`, 1),
+	}
+	answer := func(body string) (string, locdb.Fix) {
+		s := newServer(t)
+		if err := s.Login(wire.Login{User: "alice", Password: pw, Device: a}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Ingest().Hello(wire.IngestHello{Session: "st", Station: "S", Room: 1}); err != nil {
+			t.Fatal(err)
+		}
+		out := s.DispatchBytes(wire.Envelope{Type: wire.MsgPresenceBatch, Seq: 7, Body: json.RawMessage(body)}, nil)
+		fix, err := s.DB().Locate(devA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out), fix
+	}
+	want, wantFix := answer(forms["canonical"])
+	if want != `{"type":"ingest.ack","seq":7,"body":{"acked":1,"applied":2}}` {
+		t.Fatalf("canonical ack = %s", want)
+	}
+	for name, body := range forms {
+		if got, fix := answer(body); got != want || fix != wantFix {
+			t.Errorf("%s: ack %s, fix %+v; canonical: %s, %+v", name, got, fix, want, wantFix)
+		}
 	}
 }

@@ -253,6 +253,17 @@ func TestDecodeBodyFast(t *testing.T) {
 	check(LocateResult{Room: 6, RoomName: "Lab 6", At: 42}, &LocateResult{}, &LocateResult{})
 	check(IngestAck{Acked: 3, Applied: 2}, &IngestAck{}, &IngestAck{})
 	check(IngestAck{Acked: 3, Applied: 2, Rejected: 1, Duplicate: true}, &IngestAck{}, &IngestAck{})
+	check(validBatch(), &PresenceBatch{}, &PresenceBatch{})
+	check(PresenceBatch{Session: "s", Seq: 2}, &PresenceBatch{}, &PresenceBatch{})
+	check(PresenceBatch{Session: "é", Seq: 18446744073709551615, Deltas: []Presence{{Device: "d", Room: -1, At: -9}}},
+		&PresenceBatch{}, &PresenceBatch{})
+	// A dirty receiver: every field of a reused element is overwritten,
+	// and the elements beyond the frame are cut off.
+	junk := make([]Presence, 5)
+	for i := range junk {
+		junk[i] = Presence{Device: "junk", Room: 7, At: 7, Present: true}
+	}
+	check(validBatch(), &PresenceBatch{Session: "junk", Seq: 9, Deltas: junk}, &PresenceBatch{})
 
 	// Escaped strings are valid JSON but not the escape-free canonical
 	// fast path; the decoder must hand them to the fallback, and the
@@ -277,6 +288,67 @@ func TestDecodeBodyFast(t *testing.T) {
 		if q.DecodeBody([]byte(bad)) {
 			t.Errorf("Locate.DecodeBody(%q): accepted non-canonical input", bad)
 		}
+	}
+	// The shared scanners once accepted bodies that encoding/json reads
+	// as another value (invalid UTF-8 becomes U+FFFD) or not at all
+	// (leading zeros). A decoder may leave them to the fallback; it must
+	// never decode them differently.
+	for _, c := range []struct {
+		body      string
+		got, want BodyDecoder
+	}{
+		{"{\"querier\":\"a\xff\",\"target\":\"b\"}", &Locate{}, &Locate{}},
+		{"{\"querier\":\"a\",\"target\":\"\xed\xa0\x80\"}", &Locate{}, &Locate{}},
+		{"{\"room\":6,\"roomName\":\"Lab \xc3(\",\"at\":42}", &LocateResult{}, &LocateResult{}},
+		{`{"querier":"a","target":"b","at":0123}`, &LocateAt{}, &LocateAt{}},
+		{`{"querier":"a","target":"b","at":-00}`, &LocateAt{}, &LocateAt{}},
+		{`{"room":06,"roomName":"Lab 6","at":42}`, &LocateResult{}, &LocateResult{}},
+		{`{"acked":01,"applied":1}`, &IngestAck{}, &IngestAck{}},
+		{`{"acked":1,"applied":1,"rejected":00}`, &IngestAck{}, &IngestAck{}},
+	} {
+		checkDecodesLikeJSON(t, c.got, c.want, []byte(c.body))
+	}
+
+	for _, bad := range []string{
+		``, `{}`, `null`,
+		` {"session":"s","seq":1,"deltas":[]}`,
+		`{"session": "s","seq":1,"deltas":[]}`,
+		`{"seq":1,"session":"s","deltas":[]}`,
+		`{"session":"s\u0041","seq":1,"deltas":[]}`,
+		`{"session":"s","seq":1,"deltas":[],"x":1}`,
+		`{"session":"s","seq":1,"deltas":[{"device":"d","room":1,"at":2}]}`,
+		`{"session":"s","seq":1,"deltas":[{"device":"d","room":1,"at":2,"present":true},]}`,
+		`{"session":"s","seq":1,"deltas":[{"device":"d","room":1.5,"at":2,"present":true}]}`,
+		`{"session":"s","seq":1,"deltas":[null]}`,
+		`{"session":"s","seq":1,"deltas":[`,
+	} {
+		var b PresenceBatch
+		if b.DecodeBody([]byte(bad)) {
+			t.Errorf("PresenceBatch.DecodeBody(%q): accepted non-canonical input", bad)
+		}
+	}
+}
+
+// checkDecodesLikeJSON fails t when got.DecodeBody accepts raw but
+// encoding/json, decoding raw into the fresh want, rejects it or reads
+// another value. Empty and nil Deltas count as equal: DecodeBody keeps
+// the receiver's array for "deltas":null.
+func checkDecodesLikeJSON(t testing.TB, got, want BodyDecoder, raw []byte) {
+	t.Helper()
+	if !got.DecodeBody(raw) {
+		return
+	}
+	if err := json.Unmarshal(raw, want); err != nil {
+		t.Errorf("%T.DecodeBody accepted %q, which encoding/json rejects: %v", got, raw, err)
+		return
+	}
+	for _, v := range []BodyDecoder{got, want} {
+		if b, ok := v.(*PresenceBatch); ok && len(b.Deltas) == 0 {
+			b.Deltas = nil
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%T.DecodeBody(%q) = %#v, encoding/json = %#v", got, raw, got, want)
 	}
 }
 
