@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -79,6 +81,37 @@ func TestRunBadFlag(t *testing.T) {
 	var sb strings.Builder
 	if err := run(context.Background(), &sb, io.Discard, []string{"-nope"}); err == nil {
 		t.Error("bad flag accepted")
+	}
+}
+
+// TestExperimentGolden pins the paper's tables byte for byte against
+// committed golden files, serial and on two workers: a change to the
+// simulator that is meant to be exact must leave them untouched.
+func TestExperimentGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"all.golden", []string{"-run", "all", "-seed", "2003", "-trials", "200", "-runs", "2"}},
+		{"tracking.golden", []string{"-run", "tracking", "-runs", "2"}},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []string{"1", "2"} {
+			args := append(append([]string(nil), tc.args...), "-workers", workers)
+			t.Run(tc.golden+"/workers="+workers, func(t *testing.T) {
+				var sb strings.Builder
+				if err := run(context.Background(), &sb, io.Discard, args); err != nil {
+					t.Fatal(err)
+				}
+				if got := sb.String(); got != string(want) {
+					t.Errorf("bips-experiment %v drifted from golden file:\n--- got ---\n%s\n--- want ---\n%s",
+						args, got, want)
+				}
+			})
+		}
 	}
 }
 
