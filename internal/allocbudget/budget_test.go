@@ -11,6 +11,7 @@ import (
 	"bips/internal/building"
 	"bips/internal/fanout"
 	"bips/internal/graph"
+	"bips/internal/inquiry"
 	"bips/internal/locdb"
 	"bips/internal/registry"
 	"bips/internal/server"
@@ -65,6 +66,13 @@ var budgets = map[string]float64{
 	// a shared cached slice. Anything above zero means the cache
 	// stopped being a cache.
 	"locdb_all_unchanged": 0,
+	// One Table 1 discovery trial (inquiry.RunTrial, default config)
+	// drawing from a shared stream. Kernel events are recycled and the
+	// transmit ticker re-arms without allocating; what is left is set-up:
+	// the kernel with its random source, event heap and free list, the
+	// master with its discovered map and response bucket, the slave, the
+	// ticker's closures, and the bookkeeping of the one response.
+	"inquiry_trial": 27,
 }
 
 const pw = "pw"
@@ -365,5 +373,12 @@ func TestSnapshotBudgets(t *testing.T) {
 		if len(db.All()) != 512 {
 			t.Fatal("snapshot shrank")
 		}
+	})
+}
+
+func TestInquiryTrialBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	check(t, "inquiry_trial", 200, func() {
+		inquiry.RunTrial(rng, inquiry.TrialConfig{})
 	})
 }

@@ -381,3 +381,78 @@ func TestScanModeAndPolicyStrings(t *testing.T) {
 		t.Error("unexpected zero-value names")
 	}
 }
+
+// Property: earliestHear is a true lower bound. For random slaves in every
+// scan mode and state, no tick in [t, earliestHear(t)) hears an ID on any
+// frequency, including clocks within one interval of the 2^28 wrap.
+func TestEarliestHearIsLowerBound(t *testing.T) {
+	const wrap = 1 << 28
+	rng := rand.New(rand.NewSource(3))
+	intervals := []sim.Tick{2048, 4096, 8192, 3000}
+	windows := []sim.Tick{36, 72}
+	modes := []ScanMode{ScanAlternating, ScanInquiryOnly, ScanContinuous}
+	states := []slaveState{stateScanning, stateBackoff, stateRespondListen, stateDone}
+	for n := 0; n < 400; n++ {
+		interval := intervals[rng.Intn(len(intervals))]
+		now := sim.Tick(rng.Int63n(1 << 20))
+		offset := sim.Tick(rng.Int63n(int64(2 * interval)))
+		if n%2 == 1 {
+			// Put the clock at now within one interval of the wrap.
+			offset = wrap - now + sim.Tick(rng.Int63n(int64(2*interval))) - interval
+		}
+		s := NewSlave(SlaveConfig{
+			Addr:           1,
+			ClockOffset:    offset,
+			ScanPhase:      baseband.FreqIndex(rng.Intn(baseband.NumInquiryFreqs)),
+			FrozenScanFreq: rng.Intn(2) == 1,
+			Mode:           modes[rng.Intn(len(modes))],
+			Interval:       interval,
+			Window:         windows[rng.Intn(len(windows))],
+			KeepResponding: rng.Intn(2) == 1,
+		})
+		s.state = states[rng.Intn(len(states))]
+		if s.state == stateBackoff {
+			s.deafTill = now + sim.Tick(rng.Int63n(2048))*baseband.SlotTicks
+		}
+		bound := s.earliestHear(now)
+		if bound < now {
+			t.Fatalf("slave %d: earliestHear(%d) = %d lies in the past", n, now, bound)
+		}
+		if s.state == stateBackoff && bound > s.deafTill {
+			t.Fatalf("slave %d: earliestHear(%d) = %d passes the backoff expiry %d", n, now, bound, s.deafTill)
+		}
+		// Check at most three intervals; a done slave's bound is never.
+		end := min(bound, now+3*interval)
+		for u := now; u < end; u++ {
+			for f := baseband.FreqIndex(0); f < baseband.NumInquiryFreqs; f++ {
+				if s.hearing(u, f) {
+					t.Fatalf("slave %d (%v, state %d, interval %d, window %d, clock %d): hears f%d at %d before earliestHear(%d) = %d",
+						n, s.cfg.Mode, s.state, interval, s.cfg.Window, s.clock.At(now), f, u, now, bound)
+				}
+			}
+		}
+	}
+}
+
+// A master with nothing to hear skips its slots; attaching a slave or
+// forgetting a discovered one must bring the full slots back.
+func TestQuietMasterWakesOnAddSlaveAndForget(t *testing.T) {
+	k := sim.NewKernel(1)
+	m := NewMaster(k, MasterConfig{Addr: 1, Policy: TrainFixed}, nil)
+	m.StartInquiry()
+	k.RunUntil(100)
+	s := NewSlave(SlaveConfig{Addr: 2, Mode: ScanContinuous, FrozenScanFreq: true})
+	m.AddSlave(s)
+	k.RunUntil(k.Now() + 2*sim.TicksPerSecond)
+	if !s.Done() {
+		t.Fatal("slave attached during inquiry was not discovered")
+	}
+	m.Forget(s.Addr())
+	k.RunUntil(k.Now() + 2*sim.TicksPerSecond)
+	if _, ok := m.Discovered()[s.Addr()]; !ok {
+		t.Error("forgotten slave was not discovered again")
+	}
+	if got, want := m.IDsSent(), int64(2*(k.Now()/4+1)); got != want {
+		t.Errorf("IDsSent = %d by %d, want %d", got, k.Now(), want)
+	}
+}

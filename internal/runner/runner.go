@@ -98,7 +98,9 @@ type item[T any] struct {
 }
 
 // Run executes trials 0..trials-1 on the pool. Each trial i runs
-// trial(i, rng) with rng = NewRand(seed, i) on some worker; consume(i, v)
+// trial(i, rng) on some worker, with rng producing the stream of
+// NewRand(seed, i). Each worker reseeds one rng for every trial it runs,
+// so a trial must not keep rng after it returns. consume(i, v)
 // then runs on the caller's goroutine in strict index order. The first
 // error — from a trial (lowest index wins), from consume, or ctx — cancels
 // the sweep and is returned. On cancellation consume is never called again,
@@ -126,11 +128,13 @@ func Run[T any](ctx context.Context, p *Pool, seed int64, trials int,
 	}
 
 	if workers <= 1 {
+		rng := NewRand(seed, 0)
 		for i := 0; i < trials; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			v, err := trial(i, NewRand(seed, i))
+			rng.Seed(TrialSeed(seed, i))
+			v, err := trial(i, rng)
 			if err != nil {
 				return err
 			}
@@ -174,8 +178,10 @@ func Run[T any](ctx context.Context, p *Pool, seed int64, trials int,
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			rng := NewRand(seed, 0)
 			for i := range indices {
-				v, err := trial(i, NewRand(seed, i))
+				rng.Seed(TrialSeed(seed, i))
+				v, err := trial(i, rng)
 				select {
 				case results <- item[T]{i: i, v: v, err: err}:
 				case <-ctx.Done():

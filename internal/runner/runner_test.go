@@ -193,3 +193,36 @@ func TestNewPoolDefaults(t *testing.T) {
 		t.Errorf("WithWorkers(6) = %d", got)
 	}
 }
+
+// Workers reseed one stream per trial: a trial that draws past the
+// source's 607-word lag must still see exactly NewRand(seed, i).
+func TestReseededStreamMatchesNewRand(t *testing.T) {
+	const (
+		seed   = 11
+		trials = 24
+		draws  = 700
+	)
+	for _, workers := range []int{1, 4} {
+		err := Run(context.Background(), NewPool(WithWorkers(workers)), seed, trials,
+			func(i int, rng *rand.Rand) ([]int64, error) {
+				out := make([]int64, draws)
+				for k := range out {
+					out[k] = rng.Int63()
+				}
+				return out, nil
+			},
+			func(i int, got []int64) error {
+				want := NewRand(seed, i)
+				for k, v := range got {
+					if w := want.Int63(); v != w {
+						t.Errorf("workers=%d trial %d draw %d = %d, want %d", workers, i, k, v, w)
+						return nil
+					}
+				}
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

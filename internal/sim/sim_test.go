@@ -332,3 +332,101 @@ func TestRunUntilProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A Stop inside RunUntil leaves the clock at the stopping event, so the
+// next run picks up the events still pending without moving time back.
+func TestRunUntilStopKeepsClock(t *testing.T) {
+	k := NewKernel(1)
+	k.Schedule(10, func(kk *Kernel) { kk.Stop() })
+	var seen []Tick
+	k.Schedule(20, func(kk *Kernel) { seen = append(seen, kk.Now()) })
+	k.RunUntil(100)
+	if k.Now() != 10 {
+		t.Fatalf("Now() = %d after Stop at 10, want 10", k.Now())
+	}
+	if _, err := k.ScheduleAt(15, func(kk *Kernel) { seen = append(seen, kk.Now()) }); err != nil {
+		t.Fatalf("ScheduleAt(15) after Stop at 10: %v", err)
+	}
+	k.RunUntil(100)
+	if len(seen) != 2 || seen[0] != 15 || seen[1] != 20 {
+		t.Errorf("second run saw events at %v, want [15 20]", seen)
+	}
+	if k.Now() != 100 {
+		t.Errorf("Now() = %d after the second run, want 100", k.Now())
+	}
+}
+
+// A handle whose event already ran must not reach the event that reuses
+// its recycled node.
+func TestStaleHandleCannotCancelReusedNode(t *testing.T) {
+	k := NewKernel(1)
+	old := k.Schedule(5, func(*Kernel) {})
+	k.RunUntil(5)
+	ran := false
+	fresh := k.Schedule(5, func(*Kernel) { ran = true })
+	if fresh.s != old.s {
+		t.Fatal("the new event did not reuse the node of the event that ran")
+	}
+	if !old.Cancelled() {
+		t.Error("handle of an event that ran is not reported cancelled")
+	}
+	old.Cancel()
+	if fresh.Cancelled() {
+		t.Error("stale handle cancelled the event reusing its node")
+	}
+	k.Run()
+	if !ran {
+		t.Error("event reusing a stale handle's node did not run")
+	}
+}
+
+// A ticker that stops itself and starts its successor hands the successor
+// its recycled node; calling the first stop func again later must leave
+// the successor's fires alone.
+func TestTickerStoppedAfterNFiresRunsNTimes(t *testing.T) {
+	const n = 3
+	k := NewKernel(1)
+	var first, second int
+	var stopFirst, stopSecond func()
+	stopFirst = k.Ticker(10, func(kk *Kernel) {
+		first++
+		if first == n {
+			stopFirst()
+			stopSecond = kk.Ticker(10, func(*Kernel) {
+				second++
+				if second == n {
+					stopSecond()
+				}
+			})
+		}
+	})
+	k.ScheduleAt(45, func(*Kernel) { stopFirst() })
+	k.RunUntil(1000)
+	if first != n || second != n {
+		t.Errorf("tickers fired %d and %d times, want %d each", first, second, n)
+	}
+	// Both tickers and the teardown event share two nodes: the successor
+	// ran on its predecessor's.
+	if nodes := len(k.free) + len(k.queue); nodes != 2 {
+		t.Errorf("the run used %d event nodes, want 2", nodes)
+	}
+}
+
+// A warmed ticker re-arms from the free list: running it allocates nothing.
+func TestTickerRunsWithoutAllocating(t *testing.T) {
+	k := NewKernel(1)
+	fires := 0
+	k.Ticker(4, func(*Kernel) { fires++ })
+	limit := Tick(1000)
+	k.RunUntil(limit)
+	allocs := testing.AllocsPerRun(100, func() {
+		limit += 1000
+		k.RunUntil(limit)
+	})
+	if allocs != 0 {
+		t.Errorf("ticker-driven RunUntil allocated %.1f times per run, want 0", allocs)
+	}
+	if fires != int(limit/4) {
+		t.Errorf("ticker fired %d times by %d, want %d", fires, limit, limit/4)
+	}
+}
