@@ -68,11 +68,12 @@ var budgets = map[string]float64{
 	"locdb_all_unchanged": 0,
 	// One Table 1 discovery trial (inquiry.RunTrial, default config)
 	// drawing from a shared stream. Kernel events are recycled and the
-	// transmit ticker re-arms without allocating; what is left is set-up:
-	// the kernel with its random source, event heap and free list, the
-	// master with its discovered map and response bucket, the slave, the
-	// ticker's closures, and the bookkeeping of the one response.
-	"inquiry_trial": 27,
+	// master re-arms its transmit slot through a stored method value, so
+	// what is left is set-up: the kernel with its random source, event
+	// heap and free list, the master with its discovered map, response
+	// bucket and two event method values, the slave, and the bookkeeping
+	// of the one response.
+	"inquiry_trial": 22,
 }
 
 const pw = "pw"

@@ -309,16 +309,27 @@ type Master struct {
 	bucket  *radio.ResponseBucket
 	active  bool
 	startAt sim.Tick // when the current inquiry phase began
-	stopTx  func()
 
 	discovered map[baseband.BDAddr]sim.Tick
 	order      []baseband.BDAddr
 	collisions int
 	idsSent    int64
 	// quiet is a tick before which no attached slave can hear an ID or
-	// leave its backoff; transmit slots before it are only counted.
+	// leave its backoff; transmit slots before it are skipped.
 	quiet sim.Tick
+	// During a phase the slots in [from, next) are skipped ones, counted
+	// as the clock passes them (skipped); next is the slot of the pending
+	// transmit event tx, or never.
+	from, next sim.Tick
+	tx         sim.Handle
+	// txFn and rxFn hold the event method values: making one at every
+	// Schedule would allocate.
+	txFn, rxFn sim.Event
 }
+
+// txPeriod is the spacing of transmit slots: the even slots of the
+// inquiry phase, one every 2 slots.
+const txPeriod = 2 * baseband.SlotTicks
 
 // MasterConfig configures an inquiring master.
 type MasterConfig struct {
@@ -352,13 +363,15 @@ func (c MasterConfig) withDefaults() MasterConfig {
 // which case every attached slave is considered in range.
 func NewMaster(k *sim.Kernel, cfg MasterConfig, medium *radio.Medium) *Master {
 	cfg = cfg.withDefaults()
-	return &Master{
+	m := &Master{
 		kernel:     k,
 		cfg:        cfg,
 		medium:     medium,
 		bucket:     radio.NewResponseBucket(cfg.Collision),
 		discovered: make(map[baseband.BDAddr]sim.Tick),
 	}
+	m.txFn, m.rxFn = m.txEvent, m.rxEvent
+	return m
 }
 
 // Addr returns the master's device address.
@@ -369,7 +382,7 @@ func (m *Master) Addr() baseband.BDAddr { return m.cfg.Addr }
 // slots by what it knows of its slaves' states.
 func (m *Master) AddSlave(s *Slave) {
 	m.slaves = append(m.slaves, s)
-	m.quiet = 0
+	m.wake()
 }
 
 // Inquiring reports whether an inquiry phase is in progress.
@@ -379,8 +392,14 @@ func (m *Master) Inquiring() bool { return m.active }
 // collisions so far.
 func (m *Master) Collisions() int { return m.collisions }
 
-// IDsSent returns the number of ID packets transmitted so far.
-func (m *Master) IDsSent() int64 { return m.idsSent }
+// IDsSent returns the number of ID packets transmitted so far, two for
+// every transmit slot, skipped ones included.
+func (m *Master) IDsSent() int64 {
+	if !m.active {
+		return m.idsSent
+	}
+	return m.idsSent + 2*m.skipped()
+}
 
 // Discovered returns the first-response time of every discovered slave.
 func (m *Master) Discovered() map[baseband.BDAddr]sim.Tick {
@@ -418,11 +437,9 @@ func (m *Master) StartInquiry() {
 		return
 	}
 	m.active = true
-	m.startAt = m.kernel.Now()
-	// Transmit slots are the even slots of the inquiry phase: one
-	// transmit event every 2 slots (4 ticks), beginning immediately.
-	m.txEvent(m.kernel)
-	m.stopTx = m.kernel.Ticker(2*baseband.SlotTicks, m.txEvent)
+	now := m.kernel.Now()
+	m.startAt, m.from, m.next = now, now, now
+	m.txFn(m.kernel)
 }
 
 // StopInquiry leaves the inquiry state. In-flight responses that would
@@ -432,33 +449,78 @@ func (m *Master) StopInquiry() {
 	if !m.active {
 		return
 	}
+	m.idsSent += 2 * m.skipped()
 	m.active = false
-	if m.stopTx != nil {
-		m.stopTx()
-		m.stopTx = nil
-	}
+	m.tx.Cancel()
 }
 
-// txEvent runs at each transmit slot: the master sends two ID packets, one
-// per half slot, on the next two frequencies of its current train.
+// skipped returns the number of skipped slots the clock has passed: those
+// in [from, next) before now, and the one at now once the kernel is
+// outside its events. An event at a skipped slot's tick is taken to run
+// before the slot, as it did when a ticker armed every slot for any event
+// scheduled before the previous slot ran.
+func (m *Master) skipped() int64 {
+	end := m.kernel.Now()
+	if !m.kernel.InEvent() {
+		end++
+	}
+	end = min(end, m.next)
+	if end <= m.from {
+		return 0
+	}
+	return int64((end - m.from + txPeriod - 1) / txPeriod)
+}
+
+// txEvent runs at a transmit slot: it counts the skipped slots before it
+// and its own two IDs, transmits unless no slave can hear, and arms the
+// next slot.
 func (m *Master) txEvent(k *sim.Kernel) {
+	now := k.Now()
+	m.idsSent += 2 * int64((now-m.from)/txPeriod+1)
+	m.from = now + txPeriod
+	if now+1 >= m.quiet {
+		m.transmit(now)
+	}
+	// Neither ID of a slot t with t+1 < quiet can be heard and no
+	// backoff expires in it, so the next event goes on the first slot
+	// at or after quiet-1. With a medium quiet stays 0.
+	next := now + txPeriod
+	if m.quiet == never {
+		m.next = never
+		return
+	}
+	if next+1 < m.quiet {
+		next += (m.quiet - 1 - next + txPeriod - 1) / txPeriod * txPeriod
+	}
+	m.next = next
+	m.tx = k.Schedule(next-now, m.txFn)
+}
+
+// wake drops the quiet bound after the slaves changed. During a phase it
+// brings the pending transmit event forward to the first slot not yet
+// passed; if that is already the pending one nothing is rescheduled, so
+// a master that skips nothing keeps its event sequence.
+func (m *Master) wake() {
+	m.quiet = 0
 	if !m.active {
 		return
 	}
-	now := k.Now()
-	if now+1 < m.quiet {
-		// Neither ID can be heard and no backoff expires: the slot
-		// changes nothing but the count.
-		m.idsSent += 2
-		return
+	if first := m.from + txPeriod*sim.Tick(m.skipped()); m.next > first {
+		m.tx.Cancel()
+		m.next = first
+		m.tx = m.kernel.Schedule(first-m.kernel.Now(), m.txFn)
 	}
+}
+
+// transmit sends the slot's two ID packets, one per half slot, on the next
+// two frequencies of the current train.
+func (m *Master) transmit(now sim.Tick) {
 	elapsed := now - m.startAt
 	train := m.cfg.StartTrain
 	if m.cfg.Policy == TrainsAlternate {
 		train = baseband.CurrentTrain(elapsed, m.cfg.StartTrain)
 	}
 	f1, f2 := baseband.TrainFreqPair(train, elapsed)
-	m.idsSent += 2
 	// The ID on f1 occupies half slot `now`, the ID on f2 half slot
 	// now+1. A slave's FHS response arrives one slot (2 ticks) after
 	// the ID it answers, landing in the master's listen slot.
@@ -529,7 +591,7 @@ func (m *Master) deliverID(txAt sim.Tick, freq baseband.FreqIndex, respAt sim.Ti
 				Freq: baseband.RespondFreq(freq),
 				At:   respAt,
 			})
-			m.kernel.Schedule(respAt-m.kernel.Now(), m.rxEvent)
+			m.kernel.Schedule(respAt-m.kernel.Now(), m.rxFn)
 		}
 	}
 }
@@ -585,7 +647,7 @@ func (m *Master) Forget(addr baseband.BDAddr) {
 			s.state = stateScanning
 		}
 	}
-	m.quiet = 0
+	m.wake()
 }
 
 func (m *Master) markDone(addr baseband.BDAddr) {

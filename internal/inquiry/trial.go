@@ -63,6 +63,28 @@ var ErrNotDiscovered = errors.New("inquiry: slave not discovered within timeout"
 // phase, and all backoff draws.
 func RunTrial(rng *rand.Rand, cfg TrialConfig) TrialResult {
 	cfg = cfg.withDefaults()
+	k, m, s := newTrial(rng, cfg)
+
+	var result TrialResult
+	result.SameTrain = s.ListenTrain(0) == m.cfg.StartTrain
+	m.OnDiscovered = func(_ baseband.BDAddr, at sim.Tick) {
+		result.Discovered = true
+		result.Time = at
+		k.Stop()
+	}
+	m.StartInquiry()
+	k.RunUntil(cfg.Timeout)
+	m.StopInquiry()
+	result.Backoffs = s.Backoffs
+	result.Responses = s.Responses
+	if !result.Discovered {
+		result.Time = cfg.Timeout
+	}
+	return result
+}
+
+// newTrial draws a trial's kernel, master and slave from rng.
+func newTrial(rng *rand.Rand, cfg TrialConfig) (*sim.Kernel, *Master, *Slave) {
 	k := sim.NewKernel(rng.Int63())
 
 	startTrain := baseband.TrainA
@@ -91,25 +113,7 @@ func RunTrial(rng *rand.Rand, cfg TrialConfig) TrialResult {
 		Window:      cfg.Window,
 	})
 	m.AddSlave(s)
-
-	sameTrain := s.ListenTrain(0) == startTrain
-
-	var result TrialResult
-	result.SameTrain = sameTrain
-	m.OnDiscovered = func(_ baseband.BDAddr, at sim.Tick) {
-		result.Discovered = true
-		result.Time = at
-		k.Stop()
-	}
-	m.StartInquiry()
-	k.RunUntil(cfg.Timeout)
-	m.StopInquiry()
-	result.Backoffs = s.Backoffs
-	result.Responses = s.Responses
-	if !result.Discovered {
-		result.Time = cfg.Timeout
-	}
-	return result
+	return k, m, s
 }
 
 // DutyCycle describes a master operational cycle: Inquiry ticks of device
@@ -244,6 +248,26 @@ func RunSwarm(rng *rand.Rand, cfg SwarmConfig) (SwarmResult, error) {
 		}
 	}
 
+	k, m := newSwarm(rng, cfg)
+	if cfg.Cycle == (DutyCycle{}) {
+		m.StartInquiry()
+	} else {
+		scheduleCycle(k, m, cfg.Cycle, cfg.Horizon)
+	}
+	k.RunUntil(cfg.Horizon)
+	m.StopInquiry()
+
+	return SwarmResult{
+		Times:      m.SortedDiscoveryTimes(),
+		Slaves:     cfg.Slaves,
+		Collisions: m.Collisions(),
+		IDsSent:    m.IDsSent(),
+	}, nil
+}
+
+// newSwarm draws a swarm's kernel and master, with its slaves attached,
+// from rng.
+func newSwarm(rng *rand.Rand, cfg SwarmConfig) (*sim.Kernel, *Master) {
 	k := sim.NewKernel(rng.Int63())
 	m := NewMaster(k, MasterConfig{
 		Addr:       0xAA0000000001,
@@ -267,26 +291,19 @@ func RunSwarm(rng *rand.Rand, cfg SwarmConfig) (SwarmResult, error) {
 			FrozenScanFreq: *cfg.TrainAScanOnly,
 		}))
 	}
+	return k, m
+}
 
-	if cfg.Cycle == (DutyCycle{}) {
-		m.StartInquiry()
-	} else {
-		scheduleCycle(k, m, cfg.Cycle, cfg.Horizon)
-	}
-	k.RunUntil(cfg.Horizon)
-	m.StopInquiry()
-
-	return SwarmResult{
-		Times:      m.SortedDiscoveryTimes(),
-		Slaves:     cfg.Slaves,
-		Collisions: m.Collisions(),
-		IDsSent:    m.IDsSent(),
-	}, nil
+// inquirer is what scheduleCycle drives: a Master, or in tests the
+// reference transmit loop a Master is checked against.
+type inquirer interface {
+	StartInquiry()
+	StopInquiry()
 }
 
 // scheduleCycle arms start/stop events realising the duty cycle over the
 // horizon.
-func scheduleCycle(k *sim.Kernel, m *Master, cycle DutyCycle, horizon sim.Tick) {
+func scheduleCycle(k *sim.Kernel, m inquirer, cycle DutyCycle, horizon sim.Tick) {
 	for start := sim.Tick(0); start <= horizon; start += cycle.Period {
 		start := start
 		if _, err := k.ScheduleAt(start, func(*sim.Kernel) { m.StartInquiry() }); err != nil {

@@ -113,12 +113,14 @@ type Kernel struct {
 	free    []*scheduled // popped nodes awaiting reuse
 	rng     *rand.Rand
 	stopped bool
+	inEvent bool
 }
 
-// NewKernel returns a kernel whose random source is seeded with seed.
-// Identical seeds and identical schedules replay identically.
+// NewKernel returns a kernel whose random source is seeded with seed: a
+// Source, which draws the stream of rand.NewSource(seed). Identical seeds
+// and identical schedules replay identically.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewSource(seed))}
+	return &Kernel{rng: rand.New(NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -126,6 +128,11 @@ func (k *Kernel) Now() Tick { return k.now }
 
 // Rand returns the kernel's deterministic random source.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
+
+// InEvent reports whether an event callback is running. Outside one, every
+// event before Now has run, and after a Run or RunUntil that Stop did not
+// end, every event at Now too.
+func (k *Kernel) InEvent() bool { return k.inEvent }
 
 // Pending returns the number of events waiting in the queue, including
 // cancelled events that have not yet been discarded.
@@ -230,7 +237,9 @@ func (k *Kernel) Step() bool {
 			continue
 		}
 		k.now = at
+		k.inEvent = true
 		fn(k)
+		k.inEvent = false
 		return true
 	}
 	return false

@@ -356,6 +356,23 @@ func TestRunUntilStopKeepsClock(t *testing.T) {
 	}
 }
 
+func TestInEvent(t *testing.T) {
+	k := NewKernel(1)
+	var inside []bool
+	k.Schedule(3, func(kk *Kernel) { inside = append(inside, kk.InEvent()) })
+	k.Schedule(3, func(kk *Kernel) { inside = append(inside, kk.InEvent()) })
+	if k.InEvent() {
+		t.Error("InEvent before any run")
+	}
+	k.RunUntil(3)
+	if k.InEvent() {
+		t.Error("InEvent after RunUntil returned")
+	}
+	if len(inside) != 2 || !inside[0] || !inside[1] {
+		t.Errorf("InEvent inside the callbacks = %v, want [true true]", inside)
+	}
+}
+
 // A handle whose event already ran must not reach the event that reuses
 // its recycled node.
 func TestStaleHandleCannotCancelReusedNode(t *testing.T) {
