@@ -279,42 +279,6 @@ func TestManyClientsConcurrently(t *testing.T) {
 	wg.Wait()
 }
 
-func TestLossyRadioStillConverges(t *testing.T) {
-	// Failure injection: 20% packet loss on the air interface. The
-	// discovery machinery must still enroll the device, just slower.
-	k := sim.NewKernel(31)
-	med := radio.NewMedium()
-	med.SetLoss(0.2, rand.New(rand.NewSource(5)))
-	station := building.StationAddr(1)
-	med.Place(radio.Station{Addr: station, Pos: radio.Point{}})
-	ctrl := hci.New(k, hci.Config{Addr: station}, med)
-	defer ctrl.Close()
-	rep := reportFunc(func([]wire.Presence) error { return nil })
-	ws, err := workstation.New(k, ctrl, workstation.Config{Room: 1}, rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(32))
-	m, err := device.New(k, med, device.Config{Addr: 0xD1, Start: radio.Point{X: 2}}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl.AttachDevice(m.Radio())
-	ws.Start()
-	k.RunUntil(300 * sim.TicksPerSecond)
-	ws.Stop()
-	st := ws.Stats()
-	if st.Enrollments == 0 {
-		t.Errorf("device never enrolled under 20%% loss (stats %+v)", st)
-	}
-	// Random loss makes link supervision flap the connection; the
-	// system must keep re-enrolling rather than losing the device for
-	// good.
-	if st.Departures > 0 && st.Enrollments < 2 {
-		t.Errorf("no re-enrollment after loss-induced departure (stats %+v)", st)
-	}
-}
-
 func ExampleService() {
 	svc, err := New(WithSeed(1))
 	if err != nil {

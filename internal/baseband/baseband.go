@@ -1,8 +1,8 @@
 // Package baseband models the parts of the Bluetooth 1.1 baseband that
 // govern device discovery and connection setup: device addresses, the
-// native clock, the inquiry/page timing constants, packet types, and the
-// inquiry hopping structure (the 32 dedicated inquiry frequencies split
-// into trains A and B).
+// native clock, the inquiry/page timing constants, and the inquiry hopping
+// structure (the 32 dedicated inquiry frequencies split into trains A and
+// B).
 //
 // The model is timing-faithful rather than RF-faithful: the real
 // hop-selection kernel decides *which* of the 32 frequencies is used at a
@@ -12,7 +12,6 @@
 package baseband
 
 import (
-	"errors"
 	"fmt"
 
 	"bips/internal/sim"
@@ -160,62 +159,6 @@ func (f FreqIndex) Train() Train {
 	return TrainB
 }
 
-// ErrBadFreq is returned for frequency indices outside 0..31.
-var ErrBadFreq = errors.New("baseband: frequency index out of range")
-
-// PacketType enumerates the baseband packets the discovery and connection
-// procedures exchange.
-type PacketType int
-
-// Packet types used by the inquiry and page procedures.
-const (
-	// PacketID is the ID packet broadcast during inquiry and page.
-	PacketID PacketType = iota + 1
-	// PacketFHS carries the responder's address and clock (the inquiry
-	// response and the page master's handshake).
-	PacketFHS
-	// PacketPoll is the master's poll in an established piconet.
-	PacketPoll
-	// PacketNull is the slave's empty acknowledgement.
-	PacketNull
-	// PacketDM1 is a 1-slot medium-rate data packet.
-	PacketDM1
-	// PacketDH1 is a 1-slot high-rate data packet.
-	PacketDH1
-)
-
-var packetNames = map[PacketType]string{
-	PacketID:   "ID",
-	PacketFHS:  "FHS",
-	PacketPoll: "POLL",
-	PacketNull: "NULL",
-	PacketDM1:  "DM1",
-	PacketDH1:  "DH1",
-}
-
-// String names the packet type.
-func (p PacketType) String() string {
-	if s, ok := packetNames[p]; ok {
-		return s
-	}
-	return fmt.Sprintf("PacketType(%d)", int(p))
-}
-
-// Packet is one over-the-air transmission at half-slot granularity.
-type Packet struct {
-	Type PacketType
-	// Freq is the inquiry-hop index for ID/FHS during discovery; -1 for
-	// packets on an established channel hopping sequence.
-	Freq FreqIndex
-	// Sender is the transmitting device.
-	Sender BDAddr
-	// Target is the intended receiver for directed packets (page ID,
-	// POLL, data); zero for broadcasts (inquiry ID).
-	Target BDAddr
-	// Clock is the sender's native clock sample carried by FHS packets.
-	Clock Clock
-}
-
 // Clock is a Bluetooth native clock: a free-running 28-bit counter ticking
 // once per 312.5 us. Devices have independent phases.
 type Clock struct {
@@ -259,26 +202,6 @@ func TrainFreqPair(train Train, elapsed sim.Tick) (first, second FreqIndex) {
 	// pass (n = slot/2, 0..7) carries frequency pair n.
 	pair := slot / 2
 	return base + FreqIndex(2*pair), base + FreqIndex(2*pair+1)
-}
-
-// MasterInquiryFreqs returns the two frequency indices the master transmits
-// during the even slot at the given time elapsed since inquiry entry, and
-// the train it is currently sending. The master sends ID packets on two
-// consecutive hop indices per even slot (one per half slot), walks the 16
-// frequencies of the current train in 10 ms, repeats the train NInquiry
-// times, and then switches trains.
-func MasterInquiryFreqs(elapsed sim.Tick, startTrain Train) (first, second FreqIndex, train Train) {
-	train = CurrentTrain(elapsed, startTrain)
-	first, second = TrainFreqPair(train, elapsed)
-	return first, second, train
-}
-
-// MasterSlotPhase reports, for the given native clock value, whether the
-// master is in a transmit slot (even) or a listen slot (odd), and the half
-// slot (0 or 1) within it.
-func MasterSlotPhase(clock sim.Tick) (transmit bool, halfSlot int) {
-	slot := (clock / SlotTicks) % 2
-	return slot == 0, int(clock % SlotTicks)
 }
 
 // ScanFreq returns the inquiry frequency index a scanning slave listens on

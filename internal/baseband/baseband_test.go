@@ -107,16 +107,15 @@ func TestFreqIndexTrain(t *testing.T) {
 }
 
 func TestMasterInquiryFreqsCoversTrainIn10ms(t *testing.T) {
+	// The master transmits in every other slot (one pair of IDs per
+	// transmit slot), as inquiry.Master.transmit steps through a phase.
 	seen := map[FreqIndex]bool{}
-	for clock := sim.Tick(0); clock < TrainLengthTicks; clock++ {
-		transmit, _ := MasterSlotPhase(clock)
-		if !transmit {
-			continue
-		}
-		f1, f2, train := MasterInquiryFreqs(clock, TrainA)
+	for elapsed := sim.Tick(0); elapsed < TrainLengthTicks; elapsed += 2 * SlotTicks {
+		train := CurrentTrain(elapsed, TrainA)
 		if train != TrainA {
 			t.Fatalf("train switched inside first dwell: %v", train)
 		}
+		f1, f2 := TrainFreqPair(train, elapsed)
 		seen[f1] = true
 		seen[f2] = true
 	}
@@ -131,45 +130,24 @@ func TestMasterInquiryFreqsCoversTrainIn10ms(t *testing.T) {
 }
 
 func TestMasterInquiryTrainSwitchEvery256Repetitions(t *testing.T) {
-	_, _, train0 := MasterInquiryFreqs(0, TrainA)
-	if train0 != TrainA {
+	if train0 := CurrentTrain(0, TrainA); train0 != TrainA {
 		t.Fatalf("initial train = %v, want A", train0)
 	}
-	_, _, trainLast := MasterInquiryFreqs(TrainDwellTicks-1, TrainA)
-	if trainLast != TrainA {
+	if trainLast := CurrentTrain(TrainDwellTicks-1, TrainA); trainLast != TrainA {
 		t.Errorf("train at end of first dwell = %v, want A", trainLast)
 	}
-	_, _, trainNext := MasterInquiryFreqs(TrainDwellTicks, TrainA)
-	if trainNext != TrainB {
+	if trainNext := CurrentTrain(TrainDwellTicks, TrainA); trainNext != TrainB {
 		t.Errorf("train after first dwell = %v, want B", trainNext)
 	}
-	_, _, trainThird := MasterInquiryFreqs(2*TrainDwellTicks, TrainA)
-	if trainThird != TrainA {
+	if trainThird := CurrentTrain(2*TrainDwellTicks, TrainA); trainThird != TrainA {
 		t.Errorf("train after second dwell = %v, want A", trainThird)
 	}
+	if trainFourth := CurrentTrain(3*TrainDwellTicks, TrainA); trainFourth != TrainB {
+		t.Errorf("train after third dwell = %v, want B", trainFourth)
+	}
 	// Starting on B mirrors the schedule.
-	_, _, b0 := MasterInquiryFreqs(0, TrainB)
-	if b0 != TrainB {
+	if b0 := CurrentTrain(0, TrainB); b0 != TrainB {
 		t.Errorf("startTrain=B initial train = %v, want B", b0)
-	}
-}
-
-func TestMasterSlotPhase(t *testing.T) {
-	// Slot 0 (ticks 0,1) transmit; slot 1 (ticks 2,3) listen; repeating.
-	cases := []struct {
-		clock    sim.Tick
-		transmit bool
-		half     int
-	}{
-		{0, true, 0}, {1, true, 1}, {2, false, 0}, {3, false, 1},
-		{4, true, 0}, {5, true, 1}, {6, false, 0}, {7, false, 1},
-	}
-	for _, c := range cases {
-		tx, half := MasterSlotPhase(c.clock)
-		if tx != c.transmit || half != c.half {
-			t.Errorf("MasterSlotPhase(%d) = (%v,%d), want (%v,%d)",
-				c.clock, tx, half, c.transmit, c.half)
-		}
 	}
 }
 
@@ -180,7 +158,8 @@ func TestMasterFreqPairsDistinctPerHalfSlot(t *testing.T) {
 		if startB {
 			start = TrainB
 		}
-		f1, f2, train := MasterInquiryFreqs(clock, start)
+		train := CurrentTrain(clock, start)
+		f1, f2 := TrainFreqPair(train, clock)
 		return f1.Valid() && f2.Valid() && f2 == f1+1 &&
 			f1.Train() == train && f2.Train() == train
 	}
@@ -224,20 +203,5 @@ func TestClockAt(t *testing.T) {
 	c = Clock{Offset: (1 << 28) - 1}
 	if got := c.At(1); got != 0 {
 		t.Errorf("wrap: At(1) = %d, want 0", got)
-	}
-}
-
-func TestPacketTypeString(t *testing.T) {
-	want := map[PacketType]string{
-		PacketID: "ID", PacketFHS: "FHS", PacketPoll: "POLL",
-		PacketNull: "NULL", PacketDM1: "DM1", PacketDH1: "DH1",
-	}
-	for p, s := range want {
-		if p.String() != s {
-			t.Errorf("%d.String() = %q, want %q", p, p.String(), s)
-		}
-	}
-	if PacketType(99).String() != "PacketType(99)" {
-		t.Errorf("unknown packet name = %q", PacketType(99).String())
 	}
 }

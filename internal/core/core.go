@@ -576,19 +576,6 @@ func (p Policy) ServiceSlot() sim.Tick {
 	return p.Cycle - p.DiscoverySlot
 }
 
-// PerSlaveService returns the round-robin service share of each of n
-// enrolled slaves per cycle. n is clamped to the Bluetooth limit of 7
-// active slaves; n <= 0 returns the whole service slot.
-func (p Policy) PerSlaveService(n int) sim.Tick {
-	if n <= 0 {
-		return p.ServiceSlot()
-	}
-	if n > 7 {
-		n = 7
-	}
-	return p.ServiceSlot() / sim.Tick(n)
-}
-
 // ErrBadPolicyInput reports out-of-range derivation parameters.
 var ErrBadPolicyInput = errors.New("core: policy parameters out of range")
 

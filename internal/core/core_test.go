@@ -206,16 +206,6 @@ func TestPolicyServiceBudget(t *testing.T) {
 	if math.Abs(got-11.54) > 0.1 {
 		t.Errorf("service slot = %.2fs, want ~11.56s", got)
 	}
-	if p.PerSlaveService(0) != p.ServiceSlot() {
-		t.Error("PerSlaveService(0) should return the whole slot")
-	}
-	if share := p.PerSlaveService(7); share != p.ServiceSlot()/7 {
-		t.Errorf("share of 7 = %v", share)
-	}
-	// Clamped at the 7-active-slave limit.
-	if p.PerSlaveService(20) != p.PerSlaveService(7) {
-		t.Error("share not clamped at 7 slaves")
-	}
 	bad := Policy{DiscoverySlot: 100, Cycle: 50}
 	if bad.ServiceSlot() != 0 {
 		t.Error("inverted policy should have zero service slot")

@@ -11,10 +11,10 @@ import (
 	"math/rand"
 
 	"bips/internal/baseband"
+	"bips/internal/hci"
 	"bips/internal/inquiry"
 	"bips/internal/mobility"
 	"bips/internal/page"
-	"bips/internal/piconet"
 	"bips/internal/radio"
 	"bips/internal/sim"
 )
@@ -46,7 +46,7 @@ type Mobile struct {
 	cfg    Config
 	kernel *sim.Kernel
 	medium *radio.Medium
-	dev    piconet.Device
+	dev    hci.Device
 	stop   func()
 }
 
@@ -64,7 +64,7 @@ func New(k *sim.Kernel, medium *radio.Medium, cfg Config, rng *rand.Rand) (*Mobi
 		cfg:    cfg,
 		kernel: k,
 		medium: medium,
-		dev: piconet.Device{
+		dev: hci.Device{
 			Slave: inquiry.NewSlave(inquiry.SlaveConfig{
 				Addr:           cfg.Addr,
 				ClockOffset:    offset,
@@ -99,7 +99,7 @@ func (m *Mobile) tick(k *sim.Kernel) {
 func (m *Mobile) Addr() baseband.BDAddr { return m.cfg.Addr }
 
 // Radio returns the device's radio roles for attachment to controllers.
-func (m *Mobile) Radio() piconet.Device { return m.dev }
+func (m *Mobile) Radio() hci.Device { return m.dev }
 
 // Position returns the device's current position on the medium.
 func (m *Mobile) Position() (radio.Point, bool) {

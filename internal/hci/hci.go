@@ -14,10 +14,29 @@ import (
 	"bips/internal/baseband"
 	"bips/internal/inquiry"
 	"bips/internal/page"
-	"bips/internal/piconet"
 	"bips/internal/radio"
 	"bips/internal/sim"
 )
+
+// Defaults for link supervision.
+const (
+	// DefaultPollInterval is how often each open link is probed.
+	DefaultPollInterval = sim.Tick(320) // 100 ms
+	// DefaultSupervisionMisses is how many consecutive failed probes
+	// close a link (link supervision timeout).
+	DefaultSupervisionMisses = 3
+)
+
+// Device bundles the two radio roles of one mobile device: the inquiry-scan
+// behaviour that makes it discoverable and the page-scan behaviour that
+// makes it connectable.
+type Device struct {
+	Slave   *inquiry.Slave
+	Scanner page.Scanner
+}
+
+// Addr returns the device address.
+func (d Device) Addr() baseband.BDAddr { return d.Slave.Addr() }
 
 // EventType enumerates HCI events.
 type EventType int
@@ -108,10 +127,10 @@ type Config struct {
 	Policy     inquiry.TrainPolicy
 	Collision  radio.CollisionPolicy
 	// PollInterval is the link-supervision probe interval (default
-	// piconet.DefaultPollInterval).
+	// DefaultPollInterval).
 	PollInterval sim.Tick
 	// SupervisionMisses is the number of consecutive failed probes that
-	// close a link (default piconet.DefaultSupervisionMisses).
+	// close a link (default DefaultSupervisionMisses).
 	SupervisionMisses int
 	// PageTimeout bounds Create_Connection (0 = page default).
 	PageTimeout sim.Tick
@@ -129,7 +148,7 @@ type HCI struct {
 	master *inquiry.Master
 	pager  *page.Pager
 
-	devices map[baseband.BDAddr]piconet.Device
+	devices map[baseband.BDAddr]Device
 	conns   map[baseband.BDAddr]*connState
 	// linkScratch holds superviseLinks' sorted address walk.
 	linkScratch []baseband.BDAddr
@@ -144,16 +163,16 @@ type connState struct{ misses int }
 // New returns an idle controller. medium may be nil.
 func New(k *sim.Kernel, cfg Config, medium *radio.Medium) *HCI {
 	if cfg.PollInterval == 0 {
-		cfg.PollInterval = piconet.DefaultPollInterval
+		cfg.PollInterval = DefaultPollInterval
 	}
 	if cfg.SupervisionMisses == 0 {
-		cfg.SupervisionMisses = piconet.DefaultSupervisionMisses
+		cfg.SupervisionMisses = DefaultSupervisionMisses
 	}
 	h := &HCI{
 		kernel:  k,
 		cfg:     cfg,
 		medium:  medium,
-		devices: make(map[baseband.BDAddr]piconet.Device),
+		devices: make(map[baseband.BDAddr]Device),
 		conns:   make(map[baseband.BDAddr]*connState),
 	}
 	h.master = inquiry.NewMaster(k, inquiry.MasterConfig{
@@ -186,7 +205,7 @@ func (h *HCI) Addr() baseband.BDAddr { return h.cfg.Addr }
 // AttachDevice registers a mobile device with the controller's radio
 // environment (the simulation-world equivalent of the device being
 // powered on nearby).
-func (h *HCI) AttachDevice(d piconet.Device) {
+func (h *HCI) AttachDevice(d Device) {
 	h.devices[d.Addr()] = d
 	h.master.AddSlave(d.Slave)
 }
@@ -298,8 +317,7 @@ func (h *HCI) Disconnect(addr baseband.BDAddr) error {
 
 // superviseLinks probes every open link; consecutive failures close it
 // with StatusSupervision. Links are probed in ascending address order, so
-// links failing on the same tick disconnect — and draw loss samples from
-// the medium — in a deterministic order.
+// links failing on the same tick disconnect in a deterministic order.
 func (h *HCI) superviseLinks(k *sim.Kernel) {
 	addrs := h.linkScratch[:0]
 	for addr := range h.conns {
@@ -309,11 +327,7 @@ func (h *HCI) superviseLinks(k *sim.Kernel) {
 	h.linkScratch = addrs
 	for _, addr := range addrs {
 		c := h.conns[addr]
-		ok := true
-		if h.medium != nil {
-			ok = h.medium.InRange(h.cfg.Addr, addr) && !h.medium.Lost()
-		}
-		if ok {
+		if h.medium == nil || h.medium.InRange(h.cfg.Addr, addr) {
 			c.misses = 0
 			continue
 		}

@@ -9,14 +9,13 @@ import (
 	"bips/internal/baseband"
 	"bips/internal/inquiry"
 	"bips/internal/page"
-	"bips/internal/piconet"
 	"bips/internal/radio"
 	"bips/internal/sim"
 )
 
-func testDevice(rng *rand.Rand, addr baseband.BDAddr) piconet.Device {
+func testDevice(rng *rand.Rand, addr baseband.BDAddr) Device {
 	offset := sim.Tick(rng.Int63n(int64(2 * baseband.TInquiryScanTicks)))
-	return piconet.Device{
+	return Device{
 		Slave: inquiry.NewSlave(inquiry.SlaveConfig{
 			Addr:        addr,
 			ClockOffset: offset,

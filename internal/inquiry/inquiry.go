@@ -295,8 +295,8 @@ func (s *Slave) earliestHear(t sim.Tick) sim.Tick {
 }
 
 // Master runs the inquiry procedure and collects responses. It is driven by
-// a sim.Kernel; StartInquiry/StopInquiry gate transmission (the piconet
-// scheduler alternates them to realise the paper's duty cycles).
+// a sim.Kernel; StartInquiry/StopInquiry gate transmission (the workstation
+// alternates them to realise the paper's duty cycles).
 type Master struct {
 	// OnDiscovered, if non-nil, is invoked when a slave's FHS response
 	// is received for the first time.
@@ -527,8 +527,10 @@ func (m *Master) transmit(now sim.Tick) {
 	m.deliverID(now, f1, now+2)
 	m.deliverID(now+1, f2, now+3)
 	if m.medium == nil {
-		// With a medium quiet stays 0 and every slot runs: Lost
-		// draws for each slave in range.
+		// With a medium quiet stays 0 and every slot runs: slaves
+		// move by kernel events and may be shared by several
+		// masters, so quiet is not yet shown to bound when one can
+		// next hear.
 		m.quiet = never
 		for _, s := range m.slaves {
 			m.quiet = min(m.quiet, s.earliestHear(now))
@@ -543,10 +545,8 @@ func (m *Master) deliverID(txAt sim.Tick, freq baseband.FreqIndex, respAt sim.Ti
 		if s.state == stateDone && !s.cfg.KeepResponding {
 			continue
 		}
-		if m.medium != nil {
-			if !m.medium.InRange(m.cfg.Addr, s.cfg.Addr) || m.medium.Lost() {
-				continue
-			}
+		if m.medium != nil && !m.medium.InRange(m.cfg.Addr, s.cfg.Addr) {
+			continue
 		}
 		if !s.hearing(txAt, freq) {
 			// A slave whose backoff expires is handled lazily:
@@ -582,9 +582,6 @@ func (m *Master) deliverID(txAt sim.Tick, freq baseband.FreqIndex, respAt sim.Ti
 				m.backoff(s, txAt)
 			} else {
 				s.state = stateScanning
-			}
-			if m.medium != nil && m.medium.Lost() {
-				continue
 			}
 			m.bucket.Submit(radio.Response{
 				From: s.cfg.Addr,

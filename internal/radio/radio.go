@@ -1,16 +1,14 @@
 // Package radio models the physical channel of a BIPS deployment: device
-// positions, the disc coverage area of a Bluetooth cell, optional random
-// packet loss for failure injection, and the response-collision rule that
-// the BIPS authors added to the BlueHoc simulator (two or more inquiry
-// responses arriving at the master in the same receive half slot are all
-// destroyed).
+// positions, the disc coverage area of a Bluetooth cell, and the
+// response-collision rule that the BIPS authors added to the BlueHoc
+// simulator (two or more inquiry responses arriving at the master in the
+// same receive half slot are all destroyed). No packet is lost at random:
+// within coverage only the collision rule destroys one.
 package radio
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 	"sync"
 
 	"bips/internal/baseband"
@@ -60,22 +58,11 @@ func (s Station) radius() float64 {
 type Medium struct {
 	mu       sync.RWMutex
 	stations map[baseband.BDAddr]Station
-	lossRate float64
-	rng      *rand.Rand
 }
 
-// NewMedium returns an empty medium with no packet loss.
+// NewMedium returns an empty medium.
 func NewMedium() *Medium {
 	return &Medium{stations: make(map[baseband.BDAddr]Station)}
-}
-
-// SetLoss configures independent random packet loss with probability p in
-// [0,1], drawn from rng. A nil rng disables loss regardless of p.
-func (m *Medium) SetLoss(p float64, rng *rand.Rand) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.lossRate = math.Max(0, math.Min(1, p))
-	m.rng = rng
 }
 
 // Place registers or moves a station.
@@ -124,38 +111,6 @@ func (m *Medium) InRange(from, to baseband.BDAddr) bool {
 		return false
 	}
 	return a.Pos.Dist(b.Pos) <= a.radius()
-}
-
-// Reachable returns the addresses of all stations inside from's coverage
-// disc, excluding from itself, in deterministic (ascending address) order.
-func (m *Medium) Reachable(from baseband.BDAddr) []baseband.BDAddr {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	a, ok := m.stations[from]
-	if !ok {
-		return nil
-	}
-	out := make([]baseband.BDAddr, 0, len(m.stations))
-	for addr, st := range m.stations {
-		if addr == from {
-			continue
-		}
-		if a.Pos.Dist(st.Pos) <= a.radius() {
-			out = append(out, addr)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Lost reports whether an independent loss draw destroys a packet.
-func (m *Medium) Lost() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.rng == nil || m.lossRate <= 0 {
-		return false
-	}
-	return m.rng.Float64() < m.lossRate
 }
 
 // Response is one inquiry response (FHS) in flight toward a master.
@@ -230,17 +185,4 @@ func (b *ResponseBucket) Drain(now sim.Tick) (delivered, collided []Response) {
 		return nil, rs
 	}
 	return rs, nil
-}
-
-// PendingBefore returns how many responses are queued at ticks <= now,
-// which should be zero if the master drains every receive slot. It exists
-// for invariant checks in tests.
-func (b *ResponseBucket) PendingBefore(now sim.Tick) int {
-	n := 0
-	for at, rs := range b.pending {
-		if at <= now {
-			n += len(rs)
-		}
-	}
-	return n
 }

@@ -2,7 +2,6 @@ package radio
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -81,9 +80,6 @@ func TestMediumUnknownStations(t *testing.T) {
 	if _, ok := m.Position(1); ok {
 		t.Error("unknown station has position")
 	}
-	if got := m.Reachable(1); got != nil {
-		t.Errorf("Reachable(unknown) = %v, want nil", got)
-	}
 	m.Remove(1) // must not panic
 }
 
@@ -95,19 +91,6 @@ func TestMoveRegistersUnknown(t *testing.T) {
 	}
 }
 
-func TestReachableSortedAndFiltered(t *testing.T) {
-	m := NewMedium()
-	ws := baseband.BDAddr(100)
-	m.Place(Station{Addr: ws, Pos: Point{0, 0}})
-	m.Place(Station{Addr: 3, Pos: Point{1, 0}})
-	m.Place(Station{Addr: 1, Pos: Point{2, 0}})
-	m.Place(Station{Addr: 2, Pos: Point{50, 0}}) // out of range
-	got := m.Reachable(ws)
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Errorf("Reachable = %v, want [1 3]", got)
-	}
-}
-
 func TestRemove(t *testing.T) {
 	m := NewMedium()
 	m.Place(Station{Addr: 1, Pos: Point{0, 0}})
@@ -115,46 +98,6 @@ func TestRemove(t *testing.T) {
 	m.Remove(2)
 	if m.InRange(1, 2) {
 		t.Error("removed station still in range")
-	}
-}
-
-func TestLoss(t *testing.T) {
-	m := NewMedium()
-	if m.Lost() {
-		t.Error("loss with no rng configured")
-	}
-	m.SetLoss(1.0, rand.New(rand.NewSource(1)))
-	if !m.Lost() {
-		t.Error("loss rate 1.0 did not lose packet")
-	}
-	m.SetLoss(0, rand.New(rand.NewSource(1)))
-	if m.Lost() {
-		t.Error("loss rate 0 lost packet")
-	}
-	// Statistical check: rate 0.3 over many draws.
-	m.SetLoss(0.3, rand.New(rand.NewSource(42)))
-	lost := 0
-	const n = 10000
-	for i := 0; i < n; i++ {
-		if m.Lost() {
-			lost++
-		}
-	}
-	frac := float64(lost) / n
-	if frac < 0.25 || frac > 0.35 {
-		t.Errorf("loss fraction = %v, want ~0.3", frac)
-	}
-}
-
-func TestLossRateClamped(t *testing.T) {
-	m := NewMedium()
-	m.SetLoss(2.0, rand.New(rand.NewSource(1)))
-	if !m.Lost() {
-		t.Error("clamped rate 2.0->1.0 should always lose")
-	}
-	m.SetLoss(-1, rand.New(rand.NewSource(1)))
-	if m.Lost() {
-		t.Error("clamped rate -1->0 should never lose")
 	}
 }
 
@@ -213,21 +156,6 @@ func TestResponseBucketDefaultPolicy(t *testing.T) {
 	delivered, _ := b.Drain(5)
 	if len(delivered) != 0 {
 		t.Error("zero policy should default to destroy-all")
-	}
-}
-
-func TestResponseBucketPendingBefore(t *testing.T) {
-	b := NewResponseBucket(CollideDestroyAll)
-	b.Submit(Response{From: 1, At: 5})
-	b.Submit(Response{From: 2, At: 7})
-	b.Submit(Response{From: 3, At: 100})
-	if got := b.PendingBefore(10); got != 2 {
-		t.Errorf("PendingBefore(10) = %d, want 2", got)
-	}
-	b.Drain(5)
-	b.Drain(7)
-	if got := b.PendingBefore(10); got != 0 {
-		t.Errorf("PendingBefore(10) after drains = %d, want 0", got)
 	}
 }
 
